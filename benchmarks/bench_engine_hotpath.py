@@ -42,15 +42,17 @@ adaptive calendar, fixed-width calendar, heap — all bit-identical by
 the pop-order contract, so the trio isolates the pure data-structure
 cost.
 
-PR 6 extracted the hot loops into the kernels layer and added the
-vectorized ``backend="numpy"`` whole-trajectory solver; the two
-``*_numpy_warm`` cells time it on the 32x32 acceptance configurations
-and record *two* ratios: ``speedup_vs_pre_pr`` (the frozen baselines
-above — ~8-14x measured on this container) and
+The vectorized ``backend="numpy"`` whole-trajectory solver is timed by
+the three ``*_numpy`` cells on the 32x32 acceptance configurations
+(fifo, slotted, and finite with ``buffer_size=None``). Every round is
+cold: a fresh mesh, router and path cache, because the kernels route
+greedy meshes in closed form and carry no state from one run to the
+next. The fifo and slotted cells record two ratios:
+``speedup_vs_pre_pr`` (the frozen baselines above) and
 ``speedup_vs_python_backend`` (an interleaved same-process timing of the
-reference kernel on the identical warm cell — ~4-6x measured). Soft
-floors sit well under the measured ratios, same discipline as the 1.5x
-floor on the python cells.
+reference kernel on the identical cold cell); the recorded extra-info
+carries the measured values. Soft floors sit well under them, same
+discipline as the 1.5x floor on the python cells.
 """
 
 import time
@@ -253,89 +255,69 @@ def _best_seconds(fn, *args, rounds=3, **kwargs):
     return best
 
 
-def test_event_32x32_numpy_warm(best_of, benchmark):
-    """The PR-6 vectorized kernel on the acceptance cell (32x32 uniform
-    deterministic, warm shared cache — the same configuration as
-    ``test_event_32x32_cached_warm``). The interleaved reference timing
-    pins the backend-vs-backend ratio within one process, immune to
-    cross-run machine drift."""
-    mesh_router = GreedyArrayRouter(ArrayMesh(32))
-    cache = path_cache_for(mesh_router)
-    dests = UniformDestinations(1024)
-    lam = lambda_for_load(32, RHO, "table1")
-    NetworkSimulation(
-        mesh_router, dests, lam, seed=3, path_cache=cache, backend="numpy"
-    ).run(WARMUP, HORIZON)  # warm the arena + kernel level cache
-    t_python = _best_seconds(
-        NetworkSimulation(mesh_router, dests, lam, seed=3, path_cache=cache).run,
-        WARMUP,
-        HORIZON,
+def _cold_run(make_sim, *window):
+    """Build a fresh simulation (new mesh, router and path cache) and run
+    it: one cold round, route construction included."""
+    return make_sim().run(*window)
+
+
+def test_event_32x32_numpy(best_of, benchmark):
+    """The vectorized fifo kernel on the acceptance cell (32x32 uniform
+    deterministic), cold every round. The interleaved reference timing
+    (the python backend on the same cold cell) pins the
+    backend-vs-backend ratio within one process, immune to cross-run
+    machine drift."""
+    t_python = _best_seconds(_cold_run, lambda: _event_cell(32), WARMUP, HORIZON)
+    res = best_of(
+        _cold_run, lambda: _event_cell(32, backend="numpy"), WARMUP, HORIZON
     )
-    sim = NetworkSimulation(
-        mesh_router, dests, lam, seed=3, path_cache=cache, backend="numpy"
-    )
-    res = best_of(sim.run, WARMUP, HORIZON)
     pps = _record(benchmark, res, PRE_PR_EVENT[32])
     ratio = t_python / benchmark.stats.stats.min
     benchmark.extra_info["speedup_vs_python_backend"] = round(ratio, 3)
     assert res.generated > 10_000
     assert res.littles_law_gap < 0.1
-    # Soft floors (see module docstring): measured ~14x / ~5-6x.
+    # Soft floors (see module docstring).
     assert pps > 4.0 * PRE_PR_EVENT[32]
     assert ratio > 2.5
 
 
-def test_slotted_32x32_numpy_warm(best_of, benchmark):
-    """The vectorized slot kernel on the 32x32 acceptance cell, against
-    the batched python kernel (``batch_rng=True``, its fastest mode) on
-    the identical warm cell."""
-    mesh_router = GreedyArrayRouter(ArrayMesh(32))
-    cache = path_cache_for(mesh_router)
-    dests = UniformDestinations(1024)
-    lam = lambda_for_load(32, RHO, "table1")
-    SlottedNetworkSimulation(
-        mesh_router, dests, lam, seed=4, path_cache=cache, backend="numpy"
-    ).run(int(WARMUP), int(HORIZON))  # warm the arena + kernel level cache
-    t_python = _best_seconds(
-        SlottedNetworkSimulation(
-            mesh_router, dests, lam, seed=4, path_cache=cache
-        ).run,
-        int(WARMUP),
-        int(HORIZON),
-    )
-    sim = SlottedNetworkSimulation(
-        mesh_router, dests, lam, seed=4, path_cache=cache, backend="numpy"
-    )
-    res = best_of(sim.run, int(WARMUP), int(HORIZON))
+def test_slotted_32x32_numpy(best_of, benchmark):
+    """The vectorized slot kernel on the 32x32 acceptance cell, cold
+    every round, against the batched python kernel (``batch_rng=True``,
+    its fastest mode) on the identical cold cell."""
+    window = (int(WARMUP), int(HORIZON))
+    t_python = _best_seconds(_cold_run, lambda: _slotted_cell(32), *window)
+    res = best_of(_cold_run, lambda: _slotted_cell(32, backend="numpy"), *window)
     pps = _record(benchmark, res, PRE_PR_SLOTTED[32])
     ratio = t_python / benchmark.stats.stats.min
     benchmark.extra_info["speedup_vs_python_backend"] = round(ratio, 3)
     assert res.generated > 10_000
-    # Soft floors (see module docstring): measured ~8x / ~4x.
+    # Soft floors (see module docstring).
     assert pps > 4.0 * PRE_PR_SLOTTED[32]
     assert ratio > 2.0
 
 
-def test_finite_32x32_numpy_warm(best_of, benchmark):
+def test_finite_32x32_numpy(best_of, benchmark):
     """The finite-buffer engine on its numpy-backed configuration
     (buffer_size=None — the only combination the vectorized kernel
-    accepts, delegated to the FIFO whole-trajectory solver). This is the
-    bench-coverage cell for the finite x numpy registry entry; the
-    python-backend finite loop itself is timed indirectly through
-    ``test_replication_finite_cell`` in the replication suite."""
+    accepts, delegated to the FIFO whole-trajectory solver), cold every
+    round. This is the bench-coverage cell for the finite x numpy
+    registry entry; the python-backend finite loop itself is timed
+    indirectly through ``test_replication_finite_cell`` in the
+    replication suite."""
     from repro.sim.finite_buffer import FiniteBufferNetworkSimulation
 
-    mesh_router = GreedyArrayRouter(ArrayMesh(32))
-    cache = path_cache_for(mesh_router)
-    dests = UniformDestinations(1024)
-    lam = lambda_for_load(32, RHO, "table1")
-    FiniteBufferNetworkSimulation(
-        mesh_router, dests, lam, seed=3, path_cache=cache, backend="numpy"
-    ).run(WARMUP, HORIZON)  # warm the arena + kernel level cache
-    sim = FiniteBufferNetworkSimulation(
-        mesh_router, dests, lam, seed=3, path_cache=cache, backend="numpy"
-    )
-    res = best_of(sim.run, WARMUP, HORIZON)
+    def make_sim():
+        mesh = ArrayMesh(32)
+        return FiniteBufferNetworkSimulation(
+            GreedyArrayRouter(mesh),
+            UniformDestinations(mesh.num_nodes),
+            lambda_for_load(32, RHO, "table1"),
+            seed=3,
+            backend="numpy",
+        )
+
+    res = best_of(_cold_run, make_sim, WARMUP, HORIZON)
     pps = _record(benchmark, res, PRE_PR_EVENT[32])
     assert res.generated > 10_000
     # Delegation means fifo-kernel throughput; same soft floor as the

@@ -64,6 +64,13 @@ class BaseRouter:
         return {(s, t): self.path(s, t) for s in range(n) for t in range(n)}
 
 
+def is_deterministic(router: Router) -> bool:
+    """True when ``router``'s paths consume no RNG: a :class:`BaseRouter`
+    that keeps the default (deterministic) :meth:`~BaseRouter.sample_path`."""
+    sample = getattr(type(router), "sample_path", None)
+    return isinstance(router, BaseRouter) and sample is BaseRouter.sample_path
+
+
 class TabulatedRouter(BaseRouter):
     """A router backed by an explicit path table.
 

@@ -9,7 +9,11 @@ which is the natural higher-dimensional analogue from Section 5.2.
 
 Implementation note: paths are built from precomputed per-direction edge-id
 grids, so constructing a path costs one Python loop iteration per hop with
-no hashing — this is the per-packet hot path of the simulator.
+no hashing — this is the per-packet hot path of the event engines. The
+vectorized kernels skip it: :meth:`GreedyArrayRouter.route_batch` emits a
+whole batch of paths as arithmetic runs of edge ids, and
+:meth:`GreedyArrayRouter.edge_levels` gives the static edge order their
+level sweep needs.
 """
 
 from __future__ import annotations
@@ -18,6 +22,34 @@ import numpy as np
 
 from repro.routing.base import BaseRouter
 from repro.topology.array_mesh import DOWN, LEFT, RIGHT, UP, ArrayMesh, KDArray
+
+
+def _arithmetic_runs(
+    starts: np.ndarray, steps: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Concatenated runs ``start, start + step, ...`` (``count`` terms each).
+
+    The runs are taken in flattened (row-major) order of the three
+    equal-shape arrays and returned as one ``int32`` array. This is the
+    closed-form route kernel: a dimension-order path is a few straight
+    legs, and along a leg the edge ids form an arithmetic run. Built as
+    one cumulative sum of per-element increments (``step`` inside a run,
+    a jump at each run's head), so the cost is a few passes over the
+    output whatever the number of runs.
+    """
+    counts = np.ravel(counts)
+    keep = counts > 0
+    counts = counts[keep]
+    if counts.size == 0:
+        return np.empty(0, dtype=np.int32)
+    starts = np.ravel(starts)[keep]
+    steps = np.ravel(steps)[keep]
+    inc = np.repeat(steps, counts)
+    heads = np.cumsum(counts) - counts
+    inc[0] = starts[0]
+    # Jump from the previous run's last term to this run's start.
+    inc[heads[1:]] = starts[1:] - (starts[:-1] + (counts[:-1] - 1) * steps[:-1])
+    return np.cumsum(inc, dtype=np.int32)
 
 
 class GreedyArrayRouter(BaseRouter):
@@ -104,6 +136,56 @@ class GreedyArrayRouter(BaseRouter):
             first = self._row_leg(i1, j1, j2) if j1 != j2 else []
             second = self._col_leg(i1, i2, j2) if i1 != i2 else []
         return tuple(first + second)
+
+    def route_batch(
+        self, srcs: np.ndarray, dsts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`path` for parallel ``(src, dst)`` arrays, in closed form.
+
+        Returns ``(lens, edges)``: the hop count of every pair and the
+        ``int32`` edge ids of all paths concatenated in pair order, edge
+        for edge what :meth:`path` returns. Along a row leg the edge ids
+        step by ``±1`` and along a column leg by ``±cols`` (see the
+        id-block table in :mod:`repro.topology.array_mesh`), so each path
+        is two arithmetic runs and the batch needs no per-pair loop.
+        """
+        mesh = self.mesh
+        cols = mesh.cols
+        h, v = mesh.horizontal_edge_count(), mesh.vertical_edge_count()
+        i1, j1 = np.divmod(np.asarray(srcs, dtype=np.int64), cols)
+        i2, j2 = np.divmod(np.asarray(dsts, dtype=np.int64), cols)
+        dj, di = j2 - j1, i2 - i1
+        # The row leg runs on row ``r``, the column leg on column ``c``.
+        r, c = (i2, j1) if self.column_first else (i1, j2)
+        row_start = np.where(dj > 0, 0, h - 1) + r * (cols - 1) + j1
+        col_start = np.where(di > 0, 2 * h, 2 * h + v - cols) + i1 * cols + c
+        legs = [
+            (row_start, np.sign(dj), np.abs(dj)),
+            (col_start, np.sign(di) * cols, np.abs(di)),
+        ]
+        if self.column_first:
+            legs.reverse()
+        starts, steps, counts = (np.stack(x, axis=1) for x in zip(*legs))
+        return counts.sum(axis=1), _arithmetic_runs(starts, steps, counts)
+
+    def edge_levels(self) -> np.ndarray:
+        """A static level per edge that strictly increases along every path.
+
+        Row-first: RIGHT at column ``j`` is level ``j`` and LEFT into
+        column ``j`` is ``cols - 2 - j``; the column edges follow at
+        ``cols - 1 + i`` (DOWN from row ``i``) and ``cols - 1 + rows - 2
+        - i`` (UP into row ``i``). Column-first swaps the two halves. The
+        vectorized kernels sweep edges in this order, with no per-run
+        precedence fixpoint.
+        """
+        rows, cols = self.mesh.rows, self.mesh.cols
+        j = np.tile(np.arange(cols - 1), rows)  # RIGHT/LEFT blocks
+        i = np.repeat(np.arange(rows - 1), cols)  # DOWN/UP blocks
+        row_leg = np.concatenate((j, cols - 2 - j))
+        col_leg = np.concatenate((i, rows - 2 - i))
+        if self.column_first:
+            return np.concatenate((row_leg + rows - 1, col_leg))
+        return np.concatenate((row_leg, col_leg + cols - 1))
 
 
 class GreedyKDRouter(BaseRouter):

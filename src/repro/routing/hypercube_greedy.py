@@ -11,6 +11,8 @@ Stamoulis-Tsitsiklis that the paper's Section 4.5 improves upon.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.routing.base import BaseRouter
 from repro.topology.hypercube import Hypercube
 
@@ -45,3 +47,30 @@ class GreedyHypercubeRouter(BaseRouter):
             diff >>= 1
             k += 1
         return tuple(out)
+
+    def route_batch(
+        self, srcs: np.ndarray, dsts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`path` for parallel ``(src, dst)`` arrays, in closed form.
+
+        Returns ``(lens, edges)`` like
+        :meth:`~repro.routing.greedy.GreedyArrayRouter.route_batch`.
+        Before crossing dimension ``k`` a packet sits at ``src`` with the
+        differing bits below ``k`` already fixed, and the crossing edge is
+        ``k * 2^d`` plus that node — one ``(pairs x d)`` table, masked to
+        the differing bits.
+        """
+        n = self.cube.num_nodes
+        k = np.arange(self.cube.d, dtype=np.int64)
+        srcs = np.asarray(srcs, dtype=np.int64)[:, None]
+        diff = srcs ^ np.asarray(dsts, dtype=np.int64)[:, None]
+        crosses = ((diff >> k) & 1).astype(bool)
+        at = srcs ^ (diff & ((1 << k) - 1))
+        edges = (k * n + at)[crosses].astype(np.int32)
+        return crosses.sum(axis=1), edges
+
+    def edge_levels(self) -> np.ndarray:
+        """Static per-edge levels: an edge's dimension. Paths cross
+        dimensions in increasing order, so levels strictly increase
+        along every path."""
+        return np.repeat(np.arange(self.cube.d), self.cube.num_nodes)

@@ -6,19 +6,32 @@ Both simulation engines used to rebuild every packet's path hop by hop
 are pure functions of ``(src, dst)`` for every deterministic router, and a
 mixture of two such functions for the Section 6 randomized scheme — so the
 work is memoizable. This module provides that memo as a *flat shared
-arena*:
+arena*.
+
+Who uses it: the interpreter loops of every engine (``backend="python"``
+and the rushed and PS engines) look up one packet at a time here, and
+the shared-memory fan-out (:mod:`repro.sim.sharedcells`) publishes
+complete small caches to pool workers. The vectorized kernels
+(``backend="numpy"``) route mesh and hypercube packets in closed form
+(``route_batch``) and come here only for routers without one — the
+randomized greedy scheme (whose coins this cache draws), the torus, k-d
+and butterfly routers, and RNG-drawing routers served by
+:class:`SampledPathInterner` — through the batch lookups below. Large
+networks get no dense table for them: a batch lookup there probes the
+dict once per pair.
 
 * :class:`PathArena` — an append-only flat edge-id store. The engines
   bind the plain Python list mirror (:attr:`PathArena.edges`), where list
   indexing beats NumPy scalar indexing by an order of magnitude; the
-  ``int32`` snapshot (:meth:`PathArena.as_array`) is the export for
-  NumPy-side consumers (analysis, future array kernels).
+  ``int32`` snapshot (:meth:`PathArena.as_array`) and
+  :meth:`PathArena.gather` are the export for NumPy-side consumers.
 * :class:`PathCache` — a ``(src, dst) -> (offset, length)`` memo over an
   arena for deterministic routers. Lookups are one dict probe; misses
   build the path once via the router (or a custom ``builder``) and append
-  it to the arena. For small networks a dense ``offset``/``length`` pair
-  of arrays is kept alongside the dict so batch lookups are a single
-  NumPy gather.
+  it to the arena. For networks up to :data:`DENSE_NODE_LIMIT` nodes a
+  dense ``offset``/``length`` pair of arrays is kept alongside the dict
+  so batch lookups are a single NumPy gather; larger networks probe the
+  dict once per pair.
 * :class:`RandomizedGreedyPathCache` — the per-scheme cached-leg variant
   for :class:`~repro.routing.randomized_greedy.RandomizedGreedyArrayRouter`:
   two tables (row-first / column-first) share one arena, and each table's
@@ -58,7 +71,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.routing.base import BaseRouter, Router
+from repro.routing.base import Router, is_deterministic
 from repro.routing.butterfly_routing import ButterflyRouter
 from repro.routing.greedy import GreedyKDRouter
 from repro.routing.hypercube_greedy import GreedyHypercubeRouter
@@ -70,12 +83,6 @@ from repro.routing.torus_greedy import GreedyTorusRouter
 #: lookups; larger networks stay dict-only to keep memory proportional to
 #: the pairs actually routed.
 DENSE_NODE_LIMIT = 256
-
-#: Ceiling on ``n*n`` for *on-demand* dense promotion
-#: (:meth:`PathCache.promote_dense`) — the vectorized kernels ask for
-#: dense tables explicitly and 4M pairs caps the two ``int64`` arrays at
-#: 64 MiB; beyond it batch lookups keep the dict fallback.
-DENSE_PAIR_LIMIT = 4_194_304
 
 
 class PathArena:
@@ -279,31 +286,6 @@ class PathCache:
         """Uniform batch interface; deterministic caches ignore ``rng``."""
         return self.offlen_batch(srcs, dsts)
 
-    def promote_dense(self) -> bool:
-        """Adopt dense ``n*n`` tables on demand (vectorized-kernel path).
-
-        Networks above :data:`DENSE_NODE_LIMIT` are dict-only by default;
-        the numpy kernels, whose batch lookups would otherwise loop a
-        dict probe per pair, request promotion explicitly. Existing
-        entries are backfilled, after which :meth:`offlen_batch` is a
-        single gather. Returns whether dense tables are (now) active;
-        above :data:`DENSE_PAIR_LIMIT` promotion is declined and batch
-        lookups keep the fallback loop.
-        """
-        if self._dense_off is not None:
-            return True
-        n = self.num_nodes
-        if n * n > DENSE_PAIR_LIMIT:
-            return False
-        self._dense_off = np.full(n * n, -1, dtype=np.int64)
-        self._dense_len = np.zeros(n * n, dtype=np.int64)
-        if self.table:
-            keys = np.fromiter(self.table, dtype=np.int64, count=len(self.table))
-            ols = np.array(list(self.table.values()), dtype=np.int64)
-            self._dense_off[keys] = ols[:, 0]
-            self._dense_len[keys] = ols[:, 1]
-        return True
-
     def precompute_all(self) -> None:
         """Materialise every ``(src, dst)`` pair (small networks only)."""
         n = self.num_nodes
@@ -488,12 +470,6 @@ class RandomizedGreedyPathCache:
             if mask.any():
                 offs[mask], lens[mask] = table.offlen_batch(srcs[mask], dsts[mask])
         return offs, lens
-
-    def promote_dense(self) -> bool:
-        """Promote both order tables (see :meth:`PathCache.promote_dense`)."""
-        row = self.row_first.promote_dense()
-        col = self.col_first.promote_dense()
-        return row and col
 
     def precompute_all(self) -> None:
         """Materialise both order tables for every pair (small meshes)."""
@@ -773,8 +749,7 @@ def path_cache_for(
     """
     if isinstance(router, RandomizedGreedyArrayRouter):
         return RandomizedGreedyPathCache(router, arena=arena)
-    sample = getattr(type(router), "sample_path", None)
-    if isinstance(router, BaseRouter) and sample is BaseRouter.sample_path:
+    if is_deterministic(router):
         return PathCache(
             router,
             arena=arena,

@@ -142,9 +142,15 @@ The contract has two tiers. ``backend="python"`` is the extracted
 reference: *bit-identical* to the pre-extraction engines, bound by the
 same-seed golden fixtures, and it never imports the vectorized module
 (the optional-dependency boundary the ``fast`` extra documents).
-``backend="numpy"`` solves whole trajectories over the path arena's
-``int32`` snapshot — blocked draws first, then a feedforward max-plus
-sweep over edge-precedence levels — and is *seed-stable* (same seed,
+``backend="numpy"`` solves whole trajectories over one flat ``int32``
+visit array — blocked draws first, then a feedforward max-plus sweep
+over edge levels. Greedy mesh (either order) and hypercube routers emit
+that array in closed form (``route_batch``) with static per-edge levels
+(``edge_levels``), drawing no RNG and touching no path cache; every
+other router takes the cache fallback (one batch lookup, the arena's
+snapshot, a per-run level fixpoint). Both give bit-identical results
+for the same routes (barring measure-zero exact ties of float arrival
+times at one FIFO edge). The backend is *seed-stable* (same seed,
 same result) and *statistically equivalent*, but not
 draw-order-identical: blocked draws interleave differently once a run
 crosses an RNG block boundary, and equal-eligibility slot ties may
@@ -177,12 +183,12 @@ pool workers adopt the parent's precomputed cache straight out of
 shared memory (:mod:`repro.sim.sharedcells`) when the network is small
 enough to publish in full.
 
-All four simulators resolve paths through one cache built by
-``path_cache_for`` — which now has a specialised miss-path builder for
-every shipped deterministic topology (leg-composed for mesh, torus and
-k-d arrays; closed-form for hypercube and butterfly) — so no engine and
-no topology falls back to per-packet path building unless explicitly
-asked to (``use_path_cache=False``).
+All four simulators' interpreter loops resolve paths through one cache
+built by ``path_cache_for`` — which now has a specialised miss-path
+builder for every shipped deterministic topology (leg-composed for mesh,
+torus and k-d arrays; closed-form for hypercube and butterfly) — so no
+engine and no topology falls back to per-packet path building unless
+explicitly asked to (``use_path_cache=False``).
 
 **Monotone merge where service is uniform deterministic; a calendar
 queue where it is not.** With one deterministic service time everywhere

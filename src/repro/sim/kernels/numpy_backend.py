@@ -19,17 +19,36 @@ some used path" is acyclic, true for dimension-ordered routing on
 meshes, k-d arrays, hypercubes and butterflies — edges can be processed
 level by level. All hop-0 eligibility times are known (packet creation),
 so level-0 edges are solved with one segmented cummax, their departures
-become the eligibility times of the next hops, and so on. Torus
-wraparound or mixed-order randomized routes create precedence cycles;
-the kernels detect that and raise a ``ValueError`` pointing back to
-``backend='python'``.
+become the eligibility times of the next hops, and so on. Every visit
+to an edge sits in that edge's level, in generation order, so any level
+assignment that strictly increases along every route yields the same
+departures bit for bit (barring exactly equal float arrival times at
+one FIFO edge, which have measure zero).
 
-The arena's ``int32`` snapshot (``PathArena.gather``) is the canonical
-input: visits are the concatenation of every routed packet's path, and
-all statistics (occupancy/remaining-work integrals, delay batch means,
-in-flight counts) are exact window-overlap reductions over the per-visit
-departure times — the same integrals the reference loops accumulate
-incrementally.
+Routes and levels come from one of two places:
+
+* **closed form** — routers with ``route_batch`` and ``edge_levels``
+  whose paths draw no RNG (:class:`~repro.routing.greedy.GreedyArrayRouter`
+  in both orders on square and rectangular meshes, and
+  :class:`~repro.routing.hypercube_greedy.GreedyHypercubeRouter`): all
+  routes are arithmetic on coordinates or bits, emitted as one ``int32``
+  edge array in a few array ops, and the router's static per-edge
+  levels order the sweep. No path cache is touched.
+* **cache fallback** — every other router (the randomized greedy
+  scheme, other RNG-drawing routers, which the ``SampledPathInterner``
+  serves, and deterministic routers without a closed form such as the
+  torus, k-d array and butterfly): one batch lookup through the path
+  cache, the arena's ``int32`` snapshot (``PathArena.gather``) as the
+  visit array, and levels from a per-run precedence fixpoint. Torus
+  wraparound or mixed-order randomized routes create precedence cycles;
+  the fixpoint detects that and raises a ``ValueError`` pointing back
+  to ``backend='python'``.
+
+Either way visits are the concatenation of every routed packet's path,
+and all statistics (occupancy/remaining-work integrals, delay batch
+means, in-flight counts) are exact window-overlap reductions over the
+per-visit departure times — the same integrals the reference loops
+accumulate incrementally.
 
 Contract
 --------
@@ -42,10 +61,14 @@ contract in :mod:`repro.sim`. The draw order, for regression pinning:
   horizon is passed; then one id-pair block (fast-id networks) or one
   source block (uniform integers, or one ``random(m)`` + CDF
   ``searchsorted(..., side="right")``) followed by one destination
-  ``sample_batch``; then one batch path lookup for the routed pairs.
+  ``sample_batch``; then the routes of the routed pairs. Closed-form
+  routes draw nothing; on the cache fallback the randomized greedy
+  scheme draws one ``random(k)`` coin block for its ``k`` routed pairs,
+  and an interned router draws whatever its ``sample_path`` draws, pair
+  by pair.
 * slotted: per-slot Poisson counts in 8192-size blocks (the same block
   discipline as the python backend's ``batch_rng=True``), then the same
-  id/source/destination/path batches as fifo, once for all slots.
+  id/source/destination/route batches as fifo, once for all slots.
 
 Unsupported options raise ``ValueError`` rather than silently diverge:
 ``track_utilization``, ``track_number_distribution`` and
@@ -62,6 +85,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.routing.base import is_deterministic
 from repro.sim.measurement import TimeBatchAccumulator
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
@@ -85,17 +109,23 @@ def _reject(option: str, engine: str) -> None:
 
 
 def _edge_levels(
-    num_edges: int, prev: np.ndarray, nxt: np.ndarray
+    num_edges: int, visit_edge: np.ndarray, cum0: np.ndarray
 ) -> np.ndarray:
-    """Topological level of every edge under the used-path precedence.
+    """Topological level of every edge under this run's used-path
+    precedence — the levels of routers without static ``edge_levels``.
 
     ``lvl[e] = 0`` for edges never preceded on any used path, else one
     more than the deepest predecessor. Computed as a vectorized fixpoint
-    over the deduplicated consecutive-visit pairs ``prev -> nxt``; a
-    route set with a precedence cycle never converges and is rejected
-    within ``#distinct edges + 1`` sweeps.
+    over the deduplicated consecutive-visit pairs ``prev -> nxt`` of each
+    packet (packet ``i``'s visits start at ``cum0[i]``); a route set with
+    a precedence cycle never converges and is rejected within
+    ``#distinct edges + 1`` sweeps.
     """
     lvl = np.zeros(num_edges, dtype=np.int64)
+    same_packet = np.ones(visit_edge.size - 1, dtype=bool)
+    same_packet[cum0[1:-1] - 1] = False
+    prev = visit_edge[:-1][same_packet].astype(np.int64)
+    nxt = visit_edge[1:][same_packet].astype(np.int64)
     if prev.size == 0:
         return lvl
     pairs = np.unique(prev * num_edges + nxt)
@@ -114,38 +144,6 @@ def _edge_levels(
         "has a cycle — e.g. torus wraparound or mixed-order randomized "
         "routes — use backend='python'"
     )
-
-
-def _levels_for(
-    cache: Any, num_edges: int, visit_edge: np.ndarray, is_first: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-visit edge levels for this run, memoized on the path cache.
-
-    Returns ``(lvl, lvl_vis)`` — the per-edge assignment and its
-    per-visit gather. A level assignment is valid for a run iff
-    ``lvl[f] > lvl[e]`` for every consecutive visit pair ``e -> f`` the
-    run actually uses, so a cached assignment (computed from an earlier
-    run over the same arena) is revalidated with one vectorized pass
-    and only recomputed when a new seed routes a pair the old
-    assignment does not cover.
-    """
-    cached = getattr(cache, "_kernel_levels", None)
-    if cached is not None and cached.size == num_edges:
-        lvl_vis = cached[visit_edge]
-        if bool(np.all((lvl_vis[1:] > lvl_vis[:-1]) | is_first[1:])):
-            return cached, lvl_vis
-    mask = ~is_first[1:]  # consecutive visits of the same packet
-    prev = visit_edge[:-1][mask].astype(np.int64)
-    nxt = visit_edge[1:][mask].astype(np.int64)
-    lvl = _edge_levels(num_edges, prev, nxt)
-    if int(lvl.max()) < _I16_MAX:
-        # int16 levels: the level sort's radix pass then needs no cast.
-        lvl = lvl.astype(np.int16)
-    try:
-        cache._kernel_levels = lvl
-    except AttributeError:  # slotted storage without a cache attribute
-        pass
-    return lvl, lvl[visit_edge]
 
 
 def _segments(
@@ -263,22 +261,17 @@ def _level_order(lvl_vis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The stable sort keeps visits in generation order inside each level
     (each packet appears at most once per level, so this is also
-    packet order — the slotted tie-break relies on it)."""
+    packet order — the slotted tie-break relies on it). On int16 keys
+    the stable sort is a radix pass — much faster than a comparison sort
+    on these few-distinct-value keys."""
     max_lvl = int(lvl_vis.max())
-    if lvl_vis.dtype == np.int16:
-        # int16 stable sort is radix — much faster than a comparison
-        # sort on these few-distinct-value keys.
-        order = np.argsort(lvl_vis, kind="stable")
-    elif max_lvl < _I16_MAX:
-        order = np.argsort(lvl_vis.astype(np.int16), kind="stable")
-    else:
-        order = np.argsort(lvl_vis, kind="stable")
+    order = np.argsort(lvl_vis, kind="stable")
     bounds = np.searchsorted(lvl_vis[order], np.arange(max_lvl + 2))
     return order, bounds
 
 
 def _level_layout(
-    cache: Any,
+    levels: np.ndarray | None,
     num_edges: int,
     visit_edge: np.ndarray,
     cum0: np.ndarray,
@@ -292,11 +285,17 @@ def _level_layout(
     Returns ``(order, bounds, inv, e_lv, new_lv, hn_lv, nxt_lv)`` —
     the level sort and its inverse, per-visit edge ids, first-hop and
     has-next flags in level layout, and each visit's next hop's
-    level-layout position (valid where ``hn_lv``)."""
-    is_first = np.zeros(nvis, dtype=bool)
-    is_first[cum0[:-1]] = True
-    lvl, lvl_vis = _levels_for(cache, num_edges, visit_edge, is_first)
-    order, bounds = _level_order(lvl_vis)
+    level-layout position (valid where ``hn_lv``).
+
+    ``levels`` is the router's static per-edge order, or ``None`` to
+    derive one from this run's routes. Any assignment that strictly
+    increases along every route gives the same departures: all visits
+    of an edge share one level and keep generation order inside it."""
+    if levels is None:
+        levels = _edge_levels(num_edges, visit_edge, cum0)
+    if int(levels.max()) < _I16_MAX:
+        levels = levels.astype(np.int16)  # radix-sortable level keys
+    order, bounds = _level_order(levels[visit_edge])
     inv = np.empty(nvis, dtype=np.int64)
     inv[order] = np.arange(nvis, dtype=np.int64)
     e_lv = visit_edge[order]
@@ -357,14 +356,14 @@ def run_fifo(
     nz = ~zero
     a_t = r_t[nz]  # routed packets' creation times
     mr = measured[nz]
-    offs, lens, visit_edge = _draw_paths(sim, srcs[nz], dsts[nz], rng)
+    lens, visit_edge, levels = _draw_paths(sim, srcs[nz], dsts[nz], rng)
 
     # ---- solve ----
     if visit_edge.size:
         nvis = visit_edge.size
         cum0 = np.concatenate(([0], np.cumsum(lens)))
         order, bounds, inv, e_lv, new_lv, hn_lv, nxt_lv = _level_layout(
-            sim.path_cache, num_edges, visit_edge, cum0, nvis
+            levels, num_edges, visit_edge, cum0, nvis
         )
         x_lv = np.empty(nvis)
         x_lv[inv[cum0[:-1]]] = a_t
@@ -487,14 +486,14 @@ def run_slotted(
     nz = ~zero
     a_s = slots[nz]  # routed packets' generation slots
     mr = measured[nz]
-    offs, lens, visit_edge = _draw_paths(sim, srcs[nz], dsts[nz], rng)
+    lens, visit_edge, levels = _draw_paths(sim, srcs[nz], dsts[nz], rng)
 
     # ---- solve ----
     if visit_edge.size:
         nvis = visit_edge.size
         cum0 = np.concatenate(([0], np.cumsum(lens)))
         order, bounds, inv, e_lv, new_lv, hn_lv, nxt_lv = _level_layout(
-            sim.path_cache, num_edges, visit_edge, cum0, nvis
+            levels, num_edges, visit_edge, cum0, nvis
         )
         g_lv = np.empty(nvis, dtype=np.int32)
         g_lv[inv[cum0[:-1]]] = a_s
@@ -615,17 +614,24 @@ def _draw_paths(
     srcs: np.ndarray,
     dsts: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One batch path lookup; returns ``(offs, lens, visit_edge)`` with
-    the arena snapshot taken *after* the lookup grew the arena."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """All routed packets' paths as ``(lens, visit_edge, levels)``.
+
+    Routers with a closed form (``route_batch`` plus static
+    ``edge_levels``) whose paths draw no RNG are routed directly, with
+    no path cache. Otherwise one batch lookup goes through the path
+    cache — drawing the randomized scheme's coins, if any — and the
+    arena snapshot is taken *after* the lookup grew the arena;
+    ``levels`` is then ``None`` and the solve derives them per run.
+    """
+    router = sim.router
+    if hasattr(router, "route_batch") and is_deterministic(router):
+        lens, visit_edge = router.route_batch(srcs, dsts)
+        return lens, visit_edge, router.edge_levels()
     cache = sim.path_cache
     if cache.consumes_rng:
         offs, lens = cache.sample_offlen_batch(srcs, dsts, rng)
     else:
-        promote = getattr(cache, "promote_dense", None)
-        if promote is not None:
-            promote()  # dict-only caches would loop a probe per pair
         offs, lens = cache.offlen_batch(srcs, dsts)
-    offs = np.asarray(offs, dtype=np.int64)
     lens = np.asarray(lens, dtype=np.int64)
-    return offs, lens, cache.arena.gather(offs, lens)
+    return lens, cache.arena.gather(offs, lens), None

@@ -1,4 +1,6 @@
-"""Unit and property tests for greedy array routing."""
+"""Unit and property tests for greedy array routing, including the
+closed-form batch routes and static edge levels of the vectorized
+kernels (mesh and hypercube)."""
 
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.routing.greedy import GreedyArrayRouter, GreedyKDRouter
+from repro.routing.hypercube_greedy import GreedyHypercubeRouter
 from repro.topology.array_mesh import ArrayMesh, KDArray
+from repro.topology.hypercube import Hypercube
 
 
 class TestGreedyArrayRouter:
@@ -107,3 +111,104 @@ class TestGreedyKDRouter:
         router = GreedyKDRouter(kd)
         got = mean_route_length(router, UniformDestinations(kd.num_nodes))
         assert np.isclose(got, mean_distance(4))
+
+
+# ----------------------------------------------------------------------
+# Closed-form batch routes and static edge levels.
+
+
+def _assert_route_batch_matches_path(router, srcs, dsts):
+    """``route_batch`` is the concatenated ``path`` output, edge for edge."""
+    lens, edges = router.route_batch(
+        np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64)
+    )
+    paths = [router.path(s, d) for s, d in zip(srcs, dsts)]
+    assert edges.dtype == np.int32
+    assert lens.tolist() == [len(p) for p in paths]
+    assert edges.tolist() == [e for p in paths for e in p]
+
+
+def _all_pairs(n):
+    return [s for s in range(n) for _ in range(n)], list(range(n)) * n
+
+
+LEVEL_ROUTERS = [
+    GreedyArrayRouter(ArrayMesh(2)),
+    GreedyArrayRouter(ArrayMesh(4)),
+    GreedyArrayRouter(ArrayMesh(4), column_first=True),
+    GreedyArrayRouter(ArrayMesh(3, 5)),
+    GreedyArrayRouter(ArrayMesh(5, 2), column_first=True),
+    GreedyHypercubeRouter(Hypercube(1)),
+    GreedyHypercubeRouter(Hypercube(4)),
+]
+
+
+def _router_id(router):
+    order = "-col" if getattr(router, "column_first", False) else ""
+    return router.topology.name + order
+
+
+class TestClosedFormRoutes:
+    @given(
+        rows=st.integers(2, 7),
+        cols=st.integers(2, 7),
+        column_first=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_mesh_route_batch_matches_path(self, rows, cols, column_first, data):
+        router = GreedyArrayRouter(ArrayMesh(rows, cols), column_first=column_first)
+        node = st.integers(0, rows * cols - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node), max_size=30))
+        _assert_route_batch_matches_path(
+            router, [s for s, _ in pairs], [d for _, d in pairs]
+        )
+
+    @given(d=st.integers(1, 7), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_hypercube_route_batch_matches_path(self, d, data):
+        router = GreedyHypercubeRouter(Hypercube(d))
+        node = st.integers(0, 2**d - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node), max_size=30))
+        _assert_route_batch_matches_path(
+            router, [s for s, _ in pairs], [t for _, t in pairs]
+        )
+
+    @pytest.mark.parametrize(
+        "rows, cols", [(5, 5), (3, 6), (6, 2)], ids=["square", "wide", "tall"]
+    )
+    @pytest.mark.parametrize("column_first", [False, True], ids=["row", "col"])
+    def test_mesh_all_pairs(self, rows, cols, column_first):
+        router = GreedyArrayRouter(ArrayMesh(rows, cols), column_first=column_first)
+        _assert_route_batch_matches_path(router, *_all_pairs(rows * cols))
+
+    @pytest.mark.parametrize("router", LEVEL_ROUTERS, ids=_router_id)
+    def test_empty_batch(self, router):
+        _assert_route_batch_matches_path(router, [], [])
+
+    @pytest.mark.parametrize("router", LEVEL_ROUTERS, ids=_router_id)
+    def test_edge_levels_increase_along_every_path(self, router):
+        """Exhaustive: ``levels[e] < levels[f]`` for every consecutive
+        pair ``e -> f`` on every path of the network."""
+        levels = router.edge_levels()
+        assert levels.shape == (router.topology.num_edges,)
+        n = router.topology.num_nodes
+        for s in range(n):
+            for t in range(n):
+                path = router.path(s, t)
+                for e, f in zip(path, path[1:]):
+                    assert levels[e] < levels[f], (s, t, e, f)
+
+    def test_row_first_levels_match_the_documented_formula(self):
+        mesh = ArrayMesh(3, 4)
+        levels = GreedyArrayRouter(mesh).edge_levels()
+        rows, cols = mesh.rows, mesh.cols
+        for e in range(mesh.num_edges):
+            direction, i, j = mesh.edge_info(e)
+            expected = {
+                "right": j,
+                "left": cols - 2 - (j - 1),  # LEFT from column j lands on j - 1
+                "down": cols - 1 + i,
+                "up": cols - 1 + rows - 2 - (i - 1),  # UP lands on row i - 1
+            }[direction]
+            assert levels[e] == expected, (e, direction, i, j)

@@ -1,8 +1,10 @@
 """Tests for the kernels layer: backend selection, the numpy backend's
 two-backend contract (seed stability + distribution-level parity with the
 python reference), its validation errors, the optional-dependency
-boundary, and the level cache / arena gather machinery it rides on."""
+boundary, closed-form routing against the path-cache fallback, and the
+arena gather machinery the fallback rides on."""
 
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.routing.base import TabulatedRouter
+from repro.routing.base import BaseRouter, TabulatedRouter
 from repro.routing.destinations import (
     HotSpotDestinations,
     PermutationDestinations,
@@ -19,6 +21,7 @@ from repro.routing.destinations import (
 from repro.routing.greedy import GreedyArrayRouter
 from repro.routing.pathcache import PathArena, path_cache_for
 from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
+from repro.scenarios import build_network
 from repro.routing.torus_greedy import GreedyTorusRouter
 from repro.sim.fifo_network import NetworkSimulation
 from repro.sim.finite_buffer import FiniteBufferNetworkSimulation
@@ -380,34 +383,71 @@ class TestBatchedSourceDrawBoundary:
 
 
 # ----------------------------------------------------------------------
-# Level cache and arena gather.
+# Closed-form routes vs the path-cache fallback, and the arena gather.
+
+
+class CacheOnlyRouter(BaseRouter):
+    """Another router's paths with no ``route_batch``/``edge_levels``: the
+    numpy kernels must route it through the generic path-cache fallback
+    (batch lookup, arena gather, per-run level fixpoint)."""
+
+    def __init__(self, inner):
+        super().__init__(inner.topology)
+        self._inner = inner
+
+    def path(self, src, dst):
+        return self._inner.path(src, dst)
+
+
+def _closed_form_network(case):
+    if case == "bitreversal":
+        net = build_network("bitreversal", 4)
+        return net.router, net.destinations
+    mesh = ArrayMesh(5) if case == "mesh-row" else ArrayMesh(4, 6)
+    router = GreedyArrayRouter(mesh, column_first=case == "mesh-col-rect")
+    return router, UniformDestinations(mesh.num_nodes)
+
+
+class TestClosedFormRouting:
+    @pytest.mark.parametrize("case", ["mesh-row", "mesh-col-rect", "bitreversal"])
+    @pytest.mark.parametrize("engine", ["fifo", "slotted"])
+    def test_closed_form_matches_cache_fallback(self, engine, case):
+        """Closed-form routes with static levels and the cache fallback
+        with per-run levels give bit-identical results: every field of
+        the SimResult, the collected delays included."""
+        router, dests = _closed_form_network(case)
+        mask = np.zeros(router.topology.num_edges, dtype=bool)
+        mask[::3] = True
+
+        def run(r):
+            cls = NetworkSimulation if engine == "fifo" else SlottedNetworkSimulation
+            sim = cls(
+                r, dests, 0.15, seed=7, saturated_mask=mask,
+                backend=NUMPY_BACKEND,
+            )
+            window = (20.0, 300.0) if engine == "fifo" else (20, 300)
+            return sim, sim.run(*window, collect_delays=True)
+
+        closed_sim, closed = run(router)
+        cached_sim, cached = run(CacheOnlyRouter(router))
+        assert closed.completed > 0
+        # Only the fallback routed through its path cache.
+        assert len(closed_sim.path_cache) == 0
+        assert len(cached_sim.path_cache) > 0
+        np.testing.assert_equal(
+            dataclasses.asdict(closed), dataclasses.asdict(cached)
+        )
 
 
 class TestKernelLevelCache:
-    def test_levels_cached_and_reused(self):
-        mesh = ArrayMesh(4)
-        router = GreedyArrayRouter(mesh)
-        cache = path_cache_for(router)
-        sim = NetworkSimulation(
-            router, UniformDestinations(16), 0.2, seed=1,
-            path_cache=cache, backend=NUMPY_BACKEND,
-        )
-        sim.run(0.0, 200.0)
-        lvl = cache._kernel_levels
-        assert lvl is not None
-        NetworkSimulation(
-            router, UniformDestinations(16), 0.2, seed=2,
-            path_cache=cache, backend=NUMPY_BACKEND,
-        ).run(0.0, 200.0)
-        # Second run revalidates and keeps the cached assignment.
-        assert cache._kernel_levels is lvl
+    """Fallback routers (no closed form) share a growing path cache."""
 
     def test_cache_growth_matches_fresh_cache(self):
-        """A shared cache that grew (new pairs, stale level vector) must
-        produce the same trajectory as a fresh cache — revalidation, not
-        staleness."""
+        """A shared cache that grew (new pairs appended to its arena by
+        an earlier run) must produce the same trajectory as a fresh
+        cache: levels come from this run's routes, never a stale one."""
         mesh = ArrayMesh(5)
-        router = GreedyArrayRouter(mesh)
+        router = CacheOnlyRouter(GreedyArrayRouter(mesh))
         shared = path_cache_for(router)
         # Warm with a narrow workload, then run a wide one on the grown cache.
         NetworkSimulation(
