@@ -274,6 +274,11 @@ def build_cases() -> dict:
     finite("finite_sat_k1", GreedyArrayRouter(m5),
            UniformDestinations(25), 0.12, 18, buffer_size=1,
            saturated_mask=sat_mask(e5))
+    # Exponential service with nonzero drops: the event-queue loop's
+    # admission test on a data-dependent law.
+    finite("finite_exp_k2", GreedyArrayRouter(m5),
+           UniformDestinations(25), 0.20, 28, buffer_size=2,
+           service="exponential", track_maxima=True)
 
     # Cells reached through the declarative facade (CellSpec -> engine
     # registry -> ReplicationEngine). api_rushed_uniform / api_ps_hotspot

@@ -79,6 +79,7 @@ def test_fixture_covers_all_five_engines(golden):
         "finite_hotspot_k1",
         "finite_peredge_k1",
         "finite_sat_k1",
+        "finite_exp_k2",
         "api_fifo_uniform",
         "api_rushed_uniform",
         "api_ps_hotspot",
@@ -120,7 +121,7 @@ def test_finite_cells_pin_nonzero_drops(golden):
     counts, and every finite cell conserves packets:
     completed + dropped == generated."""
     droppers = ("finite_uniform_k0", "finite_hotspot_k1",
-                "finite_peredge_k1", "finite_sat_k1")
+                "finite_peredge_k1", "finite_sat_k1", "finite_exp_k2")
     for name in droppers:
         cell = golden[name]
         assert cell["dropped"] > 0, name
