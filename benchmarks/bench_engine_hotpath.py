@@ -37,10 +37,9 @@ re-linearisation, so the port is about shared architecture and
 validation parity, not throughput).
 
 The calendar queue has since grown Brown's-rule adaptive bucket widths
-(the engine default); the exponential cell now appears three ways —
-adaptive calendar, fixed-width calendar, heap — all bit-identical by
-the pop-order contract, so the trio isolates the pure data-structure
-cost.
+(its only mode); the exponential cell appears on both queues —
+calendar and heap, bit-identical by the pop-order contract — so the
+pair isolates the pure data-structure cost.
 
 The vectorized ``backend="numpy"`` whole-trajectory solver is timed by
 the three ``*_numpy`` cells on the 32x32 acceptance configurations
@@ -190,17 +189,6 @@ def test_event_32x32_exponential_calendar(best_of, benchmark):
     adaptive-width work this is Brown's-rule resampling (the engine
     default)."""
     sim = _event_cell(32, service="exponential")
-    res = best_of(sim.run, WARMUP, HORIZON)
-    _record(benchmark, res, PRE_PR_EVENT_EXP_32)
-    assert res.generated > 10_000
-
-
-def test_event_32x32_exponential_calendar_fixed(best_of, benchmark):
-    """The same cell with adaptive widths disabled (the pre-Brown
-    fixed-width calendar), isolating what the resampling buys/costs.
-    Outputs are bit-identical to the adaptive cell by the pop-order
-    contract; only the timing differs."""
-    sim = _event_cell(32, service="exponential", event_queue="calendar-fixed")
     res = best_of(sim.run, WARMUP, HORIZON)
     _record(benchmark, res, PRE_PR_EVENT_EXP_32)
     assert res.generated > 10_000

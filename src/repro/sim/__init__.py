@@ -128,10 +128,10 @@ facade):
 ========== ============================ ==============================
 engine     ``backend="python"``         ``backend="numpy"``
 ========== ============================ ==============================
-``fifo``   reference loop (default)     max-plus level sweep; uniform
+``fifo``   reference loops (default)    max-plus level sweep; uniform
                                         deterministic service only
-``finite`` reference loop (default)     ``buffer_size=None`` only
-                                        (delegates to the fifo kernel)
+``finite`` the fifo loops plus the      ``buffer_size=None`` only
+           tail-drop test (default)     (delegates to the fifo kernel)
 ``slotted``reference loop (default)     batched slot kernel;
                                         ``batch_rng=True`` only
 ``rushed`` reference loop               —
@@ -201,13 +201,13 @@ a pluggable event queue (:mod:`repro.sim.eventqueue`): a *calendar
 queue* — a bucketed event list whose buckets are sorted once on
 activation, with a small day-heap skipping empty buckets, and whose
 bucket width is re-estimated from queue occupancy by Brown's rule
-(``"calendar"``, the default; ``"calendar-fixed"`` pins the initial
-width) — or the classic binary heap. All pop the exact ``(time, seq)``
-order, so the choice is benchmarkable without touching the contract.
+(``"calendar"``, the default) — or the classic binary heap
+(``"heap"``). Both pop the exact ``(time, seq)`` order, so the choice
+is benchmarkable without touching the contract.
 PS has no monotone structure to exploit (completions are re-planned on
 every queue change), so its versioned-event loop rides the same
 pluggable queue — ``event_queue="calendar"`` by default, bit-identical
-across all kinds.
+with ``"heap"``.
 
 **Blocked and batched draws.** NumPy ``Generator`` array fills are
 stream-identical to the same number of consecutive scalar draws of the

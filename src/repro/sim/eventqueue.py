@@ -42,9 +42,11 @@ boundary (the sorted active run is empty), and rebucketing by *any*
 positive width preserves the global ``(time, seq)`` order — bucket
 ranges stay disjoint and within-bucket order is restored by the
 activation sort — so the adaptive queue pops the exact heap order and
-stays pinned by the same golden fixtures and parity tests. Pass
-``adaptive=False`` (engine vocabulary ``"calendar-fixed"``) for the
-fixed-width behaviour.
+stays pinned by the same golden fixtures and parity tests.
+
+Engines select a queue by name (``event_queue=``): ``"calendar"`` (the
+default) or ``"heap"``. The two pop the identical order, so the choice
+only matters for benchmarking the calendar queue against ``heapq``.
 """
 
 from __future__ import annotations
@@ -91,12 +93,10 @@ class CalendarQueue:
     width:
         Initial bucket width in simulation time. The engines pass one
         mean arrival gap (``1 / total arrival rate``), so a bucket holds
-        roughly one route's worth of departure events. Correctness does
-        not depend on the choice — only the append/sort balance does.
-    adaptive:
-        Re-estimate the width from queue occupancy by Brown's rule (the
-        default; see the module docstring). ``False`` keeps the initial
-        width for the whole run. Outputs are identical either way.
+        roughly one route's worth of departure events; the width is then
+        re-estimated from queue occupancy by Brown's rule (see the
+        module docstring). Correctness does not depend on the choice —
+        only the append/sort balance does.
 
     Notes
     -----
@@ -109,11 +109,11 @@ class CalendarQueue:
 
     __slots__ = (
         "_width", "_map", "_days", "_count", "_active_day", "_active",
-        "_ai", "_early", "_adaptive", "_resize_hi", "_resize_lo",
+        "_ai", "_early", "_resize_hi", "_resize_lo",
         "resize_count",
     )
 
-    def __init__(self, width: float, *, adaptive: bool = True) -> None:
+    def __init__(self, width: float) -> None:
         if not width > 0:
             raise ValueError(f"bucket width must be > 0, got {width}")
         self._width = float(width)
@@ -124,14 +124,13 @@ class CalendarQueue:
         self._active: list = []
         self._ai = 0  # pop cursor into the sorted active bucket
         self._early: list = []  # defensive: pushes behind the active day
-        self._adaptive = bool(adaptive)
         self._resize_hi = _RESIZE_FLOOR
         self._resize_lo = 0
         self.resize_count = 0  # observability for tests/benchmarks
 
     @property
     def width(self) -> float:
-        """The current bucket width (varies over time when adaptive)."""
+        """The current bucket width (re-estimated as occupancy drifts)."""
         return self._width
 
     def push(self, item) -> None:
@@ -195,9 +194,7 @@ class CalendarQueue:
                 # Only defensively-queued early items remain.
                 self._count -= 1
                 return heapq.heappop(self._early)
-            if self._adaptive and not (
-                self._resize_lo <= self._count <= self._resize_hi
-            ):
+            if not self._resize_lo <= self._count <= self._resize_hi:
                 self._rebucket()
             # Activate the next non-empty bucket.
             day = heapq.heappop(self._days)
@@ -227,19 +224,17 @@ class CalendarQueue:
 
 
 #: Engine constructor vocabulary for selecting the stochastic-service
-#: event queue (the uniform-deterministic merge loop bypasses all of
-#: them): the adaptive calendar (default), the fixed-width calendar, and
-#: the binary heap. All three pop the identical (time, seq) order.
-CALENDAR, CALENDAR_FIXED, HEAP = "calendar", "calendar-fixed", "heap"
-QUEUE_KINDS = (CALENDAR, CALENDAR_FIXED, HEAP)
+#: event queue (the uniform-deterministic merge loop bypasses both): the
+#: calendar (default) and the binary heap. Both pop the identical
+#: (time, seq) order.
+CALENDAR, HEAP = "calendar", "heap"
+QUEUE_KINDS = (CALENDAR, HEAP)
 
 
 def make_event_queue(kind: str, *, width: float):
-    """Build the requested queue; ``width`` only matters for the calendars."""
+    """Build the requested queue; ``width`` only matters for the calendar."""
     if kind == CALENDAR:
         return CalendarQueue(width)
-    if kind == CALENDAR_FIXED:
-        return CalendarQueue(width, adaptive=False)
     if kind == HEAP:
         return HeapEventQueue()
     raise ValueError(

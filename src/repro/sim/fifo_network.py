@@ -115,11 +115,10 @@ class NetworkSimulation:
         Event-queue structure for the stochastic-service loop
         (exponential or per-edge deterministic service): ``"calendar"``
         (bucketed event list with Brown's-rule adaptive widths, the
-        default), ``"calendar-fixed"`` (the same structure pinned to its
-        initial width) or ``"heap"`` (binary heap). All three pop the
-        identical ``(time, seq)`` order, so outputs are bit-identical
-        either way — this exists for benchmarking the calendar queue.
-        The uniform-deterministic merge loop bypasses them all.
+        default) or ``"heap"`` (binary heap). Both pop the identical
+        ``(time, seq)`` order, so outputs are bit-identical either way —
+        this exists for benchmarking the calendar queue. The
+        uniform-deterministic merge loop bypasses both.
     backend:
         Kernel backend for the hot loop (see :mod:`repro.sim.kernels`):
         ``"python"`` (the default) runs the extracted reference loops

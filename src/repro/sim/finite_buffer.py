@@ -27,19 +27,23 @@ exactly the ones lost.
 
 Hot path and bit-identity
 -------------------------
-The engine shares the PR-2/3 architecture via its base class: the
+The engine runs the FIFO engine's own loops: the python kernel's
+``run_finite`` calls the same loop family as ``run_fifo``
+(:mod:`repro.sim.kernels.python_backend`), passing the per-edge caps
+that switch on the tail-drop admission test at the two enqueue points
+(a packet's entry edge and each next hop). Everything else — the
 :class:`~repro.sim.enginecommon.EngineCommon` constructor policy, the
 shared path-cache arena with ``(arena_offset, length)`` packet records,
 blocked RNG draws, the monotone-merge event loop for uniform
 deterministic service (drops never schedule events, so departure pushes
 stay nondecreasing) and the pluggable event queue
-(:mod:`repro.sim.eventqueue`) for stochastic service. With
-``buffer_size=None`` the run is delegated verbatim to the FIFO engine,
-so it is *bit-identical* to ``engine="fifo"`` — pinned by the
+(:mod:`repro.sim.eventqueue`) for stochastic service — is shared code.
+With ``buffer_size=None`` the run is delegated to the FIFO engine, so
+it is *bit-identical* to ``engine="fifo"`` — pinned by the
 ``finite_none_*`` golden cells — and with buffers too large to ever
-fill, the finite loop performs the exact same draws, event ordering and
-float accumulation as the FIFO loops (the admission test consumes no
-randomness), which the regression tests pin as well.
+fill, the capped loops perform the exact same draws, event ordering and
+float accumulation as the uncapped ones (the admission test consumes no
+randomness), which the regression tests pin on every tracked statistic.
 """
 
 from __future__ import annotations

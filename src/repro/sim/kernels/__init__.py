@@ -5,8 +5,9 @@ this package, selected by the ``backend`` constructor knob (and the
 ``backend`` :class:`~repro.sim.registry.EngineParam` on the facade):
 
 ``"python"`` (the default)
-    The extracted reference loops (:mod:`repro.sim.kernels.python_backend`)
-    — byte-for-byte the pre-extraction engine bodies, so they remain
+    The extracted reference loops (:mod:`repro.sim.kernels.python_backend`,
+    where the FIFO and finite-buffer engines share one loop family) —
+    draw-for-draw the pre-extraction engine bodies, so they remain
     bound by the same-seed bit-identity contract and the golden fixtures
     pass unchanged.
 ``"numpy"``

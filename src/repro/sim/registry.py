@@ -51,7 +51,7 @@ Engine-specific parameters
     further parameters: equal sharing of ``phi_e`` among the customers
     present), plus ``event_queue`` — PS completions are re-planned
     stochastic times, so its versioned-event loop runs on the same
-    pluggable priority structure (bit-identical across all kinds).
+    pluggable priority structure (bit-identical with either kind).
 ``finite``
     ``event_queue`` and ``service_rates`` as for ``fifo``, plus
     ``buffer_size``: per-node waiting room (a non-negative int broadcasts
@@ -262,8 +262,8 @@ _EVENT_QUEUE_PARAM = EngineParam(
     CHOICE,
     CALENDAR,
     "priority structure for the stochastic-service loop (bit-identical "
-    "either way; calendar adapts its bucket width by Brown's rule, "
-    "calendar-fixed pins the initial width)",
+    "either way; calendar adapts its bucket width by Brown's rule, heap "
+    "is the binary-heap baseline)",
     choices=QUEUE_KINDS,
 )
 _SERVICE_RATES_PARAM = EngineParam(

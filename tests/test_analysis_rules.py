@@ -340,6 +340,27 @@ def test_hotloop_rule_ignores_non_sim_paths(tmp_path):
     assert run([path], select=["hot-loop-alloc"]) == []
 
 
+def test_hotloop_rule_polices_private_kernel_loop_bodies(tmp_path):
+    """A kernels module's shared ``_run*`` loop body is a run loop too;
+    other private helpers there are not."""
+    (tmp_path / "sim" / "kernels").mkdir(parents=True)
+    body = """
+        def {name}(events):
+            out = []
+            for t in events:
+                out.append([t, 0])
+            return out
+        """
+    shared = _write(
+        tmp_path, "sim/kernels/shared.py", body.format(name="_run_loops")
+    )
+    helper = _write(
+        tmp_path, "sim/kernels/helper.py", body.format(name="_pack")
+    )
+    assert len(run([shared], select=["hot-loop-alloc"])) == 1
+    assert run([helper], select=["hot-loop-alloc"]) == []
+
+
 # -- golden-coverage / bench-coverage ----------------------------------
 
 def _register_synthetic_engine(monkeypatch, name="priority", **overrides):

@@ -12,7 +12,6 @@ import pytest
 
 from repro.sim.eventqueue import (
     CALENDAR,
-    CALENDAR_FIXED,
     HEAP,
     CalendarQueue,
     HeapEventQueue,
@@ -125,13 +124,6 @@ class TestAdaptiveWidths:
         # earliest events — orders of magnitude below the initial guess.
         assert cq.width < 1e3
 
-    def test_fixed_mode_never_resizes(self):
-        cq = CalendarQueue(1e6, adaptive=False)
-        want = self._backlog(cq, 2000, 10.0)
-        assert [cq.pop() for _ in want] == want
-        assert cq.resize_count == 0
-        assert cq.width == 1e6
-
     def test_adaptive_matches_heapq_with_interleaved_pushes(self):
         """The full DES pattern — pops interleaved with pushes at and
         after the current time — across multiple resizes."""
@@ -172,10 +164,7 @@ class TestAdaptiveWidths:
 
 class TestMakeEventQueue:
     def test_dispatch(self):
-        cal = make_event_queue(CALENDAR, width=1.0)
-        assert isinstance(cal, CalendarQueue) and cal._adaptive
-        fixed = make_event_queue(CALENDAR_FIXED, width=1.0)
-        assert isinstance(fixed, CalendarQueue) and not fixed._adaptive
+        assert isinstance(make_event_queue(CALENDAR, width=1.0), CalendarQueue)
         assert isinstance(make_event_queue(HEAP, width=1.0), HeapEventQueue)
 
     def test_unknown_kind_raises(self):

@@ -4,9 +4,9 @@ Three contracts:
 
 * **fifo identity** — ``buffer_size=None`` delegates to the FIFO engine
   (bit-identical; also pinned by the ``finite_none_*`` golden cells),
-  and a buffer too large to ever fill runs the finite loop with the
-  exact same draws, event order and float accumulation as the FIFO
-  loops;
+  and a buffer too large to ever fill runs the capped FIFO loops with
+  the exact same draws, event order and float accumulation as the
+  uncapped ones, on every tracked statistic;
 * **drop accounting** — conservation (``completed + dropped ==
   generated``), warmup-boundary exclusion, per-node attribution, and
   the loss CI surfaced through ``ReplicationEngine``;
@@ -22,6 +22,7 @@ import pytest
 
 from repro.routing.destinations import HotSpotDestinations, UniformDestinations
 from repro.routing.greedy import GreedyArrayRouter
+from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
 from repro.sim.fifo_network import NetworkSimulation
 from repro.sim.finite_buffer import (
     FiniteBufferNetworkSimulation,
@@ -34,9 +35,29 @@ HUGE = 10**9
 
 FIELDS = (
     "generated", "completed", "zero_hop", "in_flight_at_end",
-    "mean_number", "mean_remaining", "mean_delay", "delay_half_width",
-    "mean_delay_littles", "max_delay", "max_queue_length",
+    "mean_number", "mean_remaining", "mean_remaining_saturated",
+    "mean_delay", "delay_half_width", "mean_delay_littles", "max_delay",
+    "max_queue_length",
 )
+
+#: Tracked-statistics cases of the huge-buffer identity tests: whether
+#: to pass a saturated-edge mask, and the run options to switch on.
+TRACKING = {
+    "plain": (False, {}),
+    "saturated": (True, {}),
+    "utilization": (False, {"track_utilization": True}),
+    "number_distribution": (False, {"track_number_distribution": True}),
+    "maxima": (False, {"track_maxima": True}),
+    "all": (True, {
+        "track_utilization": True,
+        "track_number_distribution": True,
+        "track_maxima": True,
+    }),
+}
+
+
+def _listed(arr):
+    return None if arr is None else arr.tolist()
 
 
 def _same(a, b):
@@ -45,6 +66,46 @@ def _same(a, b):
         assert va == vb or (
             isinstance(va, float) and math.isnan(va) and math.isnan(vb)
         ), f
+    assert _listed(a.delays) == _listed(b.delays)
+    assert _listed(a.utilization) == _listed(b.utilization)
+    assert a.number_distribution == b.number_distribution
+
+
+#: The deterministic greedy router, and the randomized one whose path
+#: draws interleave with the engine's own RNG stream.
+ROUTINGS = pytest.mark.parametrize("routing", ["greedy", "randomized"])
+
+
+def _router(routing, router4):
+    if routing == "greedy":
+        return router4
+    return RandomizedGreedyArrayRouter(router4.topology)
+
+
+def _assert_huge_buffer_matches_fifo(router, dests, seed, tracking, **kw):
+    """Run the FIFO engine and the finite engine with never-full buffers
+    on the same workload and compare every statistic ``tracking`` asks
+    for: the capped loops must replay the uncapped run exactly."""
+    with_sat, run_kw = TRACKING[tracking]
+    if with_sat:
+        kw["saturated_mask"] = np.arange(router.topology.num_edges) % 3 == 0
+    run_kw = dict(run_kw, collect_delays=True)
+    fifo = NetworkSimulation(router, dests, 0.2, seed=seed, **kw).run(
+        10, 120, **run_kw
+    )
+    fin = FiniteBufferNetworkSimulation(
+        router, dests, 0.2, seed=seed, buffer_size=HUGE, **kw
+    ).run(10, 120, **run_kw)
+    _same(fifo, fin)
+    assert fifo.node_drops is None
+    assert fin.dropped == 0
+    assert fin.node_drops.sum() == 0
+    assert (fin.utilization is not None) == ("track_utilization" in run_kw)
+    assert (fin.number_distribution is not None) == (
+        "track_number_distribution" in run_kw
+    )
+    if with_sat:
+        assert not math.isnan(fin.mean_remaining_saturated)
 
 
 class TestFifoIdentity:
@@ -60,29 +121,27 @@ class TestFifoIdentity:
         assert fin.node_drops is None and fin.dropped == 0
         assert fin.loss_probability == 0.0
 
+    @ROUTINGS
+    @pytest.mark.parametrize("tracking", sorted(TRACKING))
     def test_huge_buffer_runs_finite_loop_bit_identically(
-        self, router4, uniform4
+        self, router4, uniform4, tracking, routing
     ):
-        """The finite merge loop performs the FIFO loop's exact
+        """The capped merge loop performs the FIFO loops' exact
         arithmetic when nothing drops (the admission test consumes no
-        randomness)."""
-        fifo = NetworkSimulation(router4, uniform4, 0.2, seed=3).run(
-            10, 120, track_maxima=True, collect_delays=True
+        randomness) — against the plain-statistics loop too, which the
+        ``plain`` case runs on the FIFO side."""
+        _assert_huge_buffer_matches_fifo(
+            _router(routing, router4), uniform4, 3, tracking
         )
-        fin = FiniteBufferNetworkSimulation(
-            router4, uniform4, 0.2, seed=3, buffer_size=HUGE
-        ).run(10, 120, track_maxima=True, collect_delays=True)
-        _same(fifo, fin)
-        assert fin.delays.tolist() == fifo.delays.tolist()
-        assert fin.dropped == 0
-        assert fin.node_drops.sum() == 0
 
+    @ROUTINGS
+    @pytest.mark.parametrize("tracking", sorted(TRACKING))
     @pytest.mark.parametrize("service_kw", [
         {"service": "exponential"},
         {"service_rates": None},  # filled per-edge below
     ])
     def test_huge_buffer_event_queue_loop_bit_identical(
-        self, router4, uniform4, service_kw
+        self, router4, uniform4, service_kw, tracking, routing
     ):
         """Same contract on the stochastic-service (event-queue) loop."""
         kw = dict(service_kw)
@@ -90,24 +149,19 @@ class TestFifoIdentity:
             kw["service_rates"] = 1.0 + 0.5 * (
                 np.arange(router4.topology.num_edges) % 4 == 0
             )
-        fifo = NetworkSimulation(router4, uniform4, 0.2, seed=5, **kw).run(
-            10, 120, collect_delays=True
+        _assert_huge_buffer_matches_fifo(
+            _router(routing, router4), uniform4, 5, tracking, **kw
         )
-        fin = FiniteBufferNetworkSimulation(
-            router4, uniform4, 0.2, seed=5, buffer_size=HUGE, **kw
-        ).run(10, 120, collect_delays=True)
-        _same(fifo, fin)
-        assert fin.delays.tolist() == fifo.delays.tolist()
 
     def test_event_queue_kinds_agree_with_drops(self, router4, uniform4):
-        """Calendar (adaptive), calendar-fixed and heap produce the same
-        trajectory even when packets drop."""
+        """The calendar queue and the heap produce the same trajectory
+        even when packets drop."""
         runs = [
             FiniteBufferNetworkSimulation(
                 router4, uniform4, 0.3, seed=7, buffer_size=1,
                 service="exponential", event_queue=kind,
             ).run(10, 150, collect_delays=True)
-            for kind in ("calendar", "calendar-fixed", "heap")
+            for kind in ("calendar", "heap")
         ]
         for other in runs[1:]:
             assert runs[0].dropped == other.dropped

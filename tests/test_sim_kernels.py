@@ -658,7 +658,7 @@ class TestPSEventQueue:
     def test_all_queue_kinds_are_bit_identical(self):
         results = [
             replicate(self._spec(event_queue=kind), processes=1)
-            for kind in ("calendar", "calendar-fixed", "heap")
+            for kind in ("calendar", "heap")
         ]
         base = results[0].replications[0]
         for pooled in results[1:]:
