@@ -10,6 +10,11 @@ engine will change at least one of these numbers and fail the golden test.
 Floats are stored as ``float.hex()`` strings so JSON round-trips cannot
 smuggle in a ulp of drift.
 
+A second fixture, ``calibration.json``, pins the load calibration of
+every scenario the generic traffic solver serves: the ``rho -> node_rate``
+result of :func:`repro.scenarios.resolve_cell` and its saturated-edge
+mask, so a solver rewrite that drifts by one ulp fails too.
+
 Run from the repo root (only when an *intentional*, documented behaviour
 change requires re-pinning)::
 
@@ -40,6 +45,7 @@ from repro.topology.array_mesh import ArrayMesh
 from repro.topology.torus import Torus
 
 OUT = os.path.join(os.path.dirname(__file__), "engine_results.json")
+CALIBRATION_OUT = os.path.join(os.path.dirname(__file__), "calibration.json")
 
 FLOAT_FIELDS = (
     "mean_number",
@@ -347,9 +353,39 @@ def build_cases() -> dict:
     return cases
 
 
+def build_calibration() -> dict:
+    """``resolve_cell`` on every generic-calibrated scenario: the node
+    rate as a float bit pattern plus the saturated edge ids."""
+    from repro.scenarios import resolve_cell
+    from repro.sim.replication import CellSpec
+
+    specs = {
+        "hotspot_n7": dict(scenario="hotspot", n=7, rho=0.8),
+        "hotspot_n8_h03": dict(scenario="hotspot", n=8, rho=0.9,
+                               params=(("h", 0.3), ("hot_node", 5))),
+        "transpose_n6": dict(scenario="transpose", n=6, rho=0.8),
+        "geometric_n5_stop03": dict(scenario="geometric", n=5, rho=0.7,
+                                    params=(("stop", 0.3),)),
+        "geometric_n6": dict(scenario="geometric", n=6, rho=0.8),
+        "torus_n5": dict(scenario="torus", n=5, rho=0.8),
+        "torus_n6": dict(scenario="torus", n=6, rho=0.5),
+        "bitreversal_d4": dict(scenario="bitreversal", n=4, rho=0.8),
+        "single": dict(scenario="single", n=2, rho=0.6),
+    }
+    out = {}
+    for name, kw in specs.items():
+        rate, mask = resolve_cell(CellSpec(track_saturated=True, **kw))
+        out[name] = {
+            "node_rate": _hex(rate),
+            "saturated_edges": [int(e) for e in mask.nonzero()[0]],
+        }
+    return out
+
+
 if __name__ == "__main__":
-    cases = build_cases()
-    with open(OUT, "w") as fh:
-        json.dump(cases, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {len(cases)} golden cells to {OUT}")
+    for path, build in ((OUT, build_cases), (CALIBRATION_OUT, build_calibration)):
+        cases = build()
+        with open(path, "w") as fh:
+            json.dump(cases, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {len(cases)} golden cells to {path}")

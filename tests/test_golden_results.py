@@ -17,9 +17,12 @@ import sys
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "golden"))
-from regen import FLOAT_FIELDS, build_cases  # noqa: E402
+from regen import FLOAT_FIELDS, build_calibration, build_cases  # noqa: E402
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "engine_results.json")
+CALIBRATION_PATH = os.path.join(
+    os.path.dirname(__file__), "golden", "calibration.json"
+)
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +53,21 @@ def test_cell_bit_identical(name, golden, fresh):
             f"{name}.{field}: expected {w}, got {got[field]} "
             f"(bit-level drift)"
         )
+
+
+def test_calibration_bit_identical():
+    """The ``rho -> node_rate`` calibration and saturated mask of every
+    generic-solver scenario match their pins exactly. Engine cells pass
+    ``node_rate`` explicitly, so only these pin the traffic solver."""
+    with open(CALIBRATION_PATH) as fh:
+        want = json.load(fh)
+    got = build_calibration()
+    assert sorted(got) == sorted(want)
+    scenarios = {name.split("_")[0] for name in want}
+    assert scenarios == {"hotspot", "transpose", "geometric", "torus",
+                         "bitreversal", "single"}
+    for name, cell in want.items():
+        assert got[name] == cell, f"{name}: calibration drift"
 
 
 def test_fixture_covers_all_five_engines(golden):
