@@ -163,6 +163,15 @@ def test_scenario_calibration(benchmark):
     assert mask.any()
 
 
+def test_scenario_calibration_torus(benchmark):
+    """Generic-solver calibration of the torus cell the scenario mix
+    waits on (closed-form torus routes)."""
+    spec = CellSpec(scenario="torus", n=16, rho=0.8, track_saturated=True)
+    rate, mask = benchmark(resolve_cell, spec)
+    assert rate > 0
+    assert mask.any()
+
+
 def test_matrix_destination_sampling(benchmark):
     """Per-packet CDF sampling (was rng.choice rebuilding the law per draw)."""
     rng = np.random.default_rng(5)

@@ -13,9 +13,10 @@ and the rushed and PS engines) look up one packet at a time here, and
 the shared-memory fan-out (:mod:`repro.sim.sharedcells`) publishes
 complete small caches to pool workers. The vectorized kernels
 (``backend="numpy"``) route mesh and hypercube packets in closed form
-(``route_batch``) and come here only for routers without one — the
-randomized greedy scheme (whose coins this cache draws), the torus, k-d
-and butterfly routers, and RNG-drawing routers served by
+(``route_batch`` with static ``edge_levels``) and come here for every
+other router — the randomized greedy scheme (whose coins this cache
+draws), the torus (closed-form routes but no levels), the k-d and
+butterfly routers, and RNG-drawing routers served by
 :class:`SampledPathInterner` — through the batch lookups below. Large
 networks get no dense table for them: a batch lookup there probes the
 dict once per pair.

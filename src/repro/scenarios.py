@@ -9,7 +9,10 @@ a per-node rate: the standard model uses the paper's closed forms (and
 honours the Table I ``"table1"`` convention), every other workload is
 calibrated exactly by the generic traffic solver
 :func:`repro.core.rates.edge_rates_from_routing`, which works because all
-destination laws expose exact ``pmf`` views.
+destination laws expose exact ``pmf`` views. The solver routes whole
+blocks of pairs through the closed-form ``route_batch`` of the greedy
+mesh, torus and hypercube routers, so calibrating any built-in workload
+walks no per-pair path; the result is bit-identical to the per-pair sum.
 
 Built-in scenarios
 ------------------

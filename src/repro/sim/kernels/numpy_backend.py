@@ -27,17 +27,19 @@ one FIFO edge, which have measure zero).
 
 Routes and levels come from one of two places:
 
-* **closed form** — routers with ``route_batch`` and ``edge_levels``
-  whose paths draw no RNG (:class:`~repro.routing.greedy.GreedyArrayRouter`
-  in both orders on square and rectangular meshes, and
+* **closed form** — routers with both ``route_batch`` and
+  ``edge_levels`` whose paths draw no RNG
+  (:class:`~repro.routing.greedy.GreedyArrayRouter` in both orders on
+  square and rectangular meshes, and
   :class:`~repro.routing.hypercube_greedy.GreedyHypercubeRouter`): all
   routes are arithmetic on coordinates or bits, emitted as one ``int32``
   edge array in a few array ops, and the router's static per-edge
   levels order the sweep. No path cache is touched.
 * **cache fallback** — every other router (the randomized greedy
   scheme, other RNG-drawing routers, which the ``SampledPathInterner``
-  serves, and deterministic routers without a closed form such as the
-  torus, k-d array and butterfly): one batch lookup through the path
+  serves, deterministic routers without a closed form such as the k-d
+  array and butterfly, and the torus, whose ``route_batch`` has no
+  static levels to go with it): one batch lookup through the path
   cache, the arena's ``int32`` snapshot (``PathArena.gather``) as the
   visit array, and levels from a per-run precedence fixpoint. Torus
   wraparound or mixed-order randomized routes create precedence cycles;
@@ -625,7 +627,10 @@ def _draw_paths(
     ``levels`` is then ``None`` and the solve derives them per run.
     """
     router = sim.router
-    if hasattr(router, "route_batch") and is_deterministic(router):
+    closed_form = all(
+        hasattr(router, name) for name in ("route_batch", "edge_levels")
+    )
+    if closed_form and is_deterministic(router):
         lens, visit_edge = router.route_batch(srcs, dsts)
         return lens, visit_edge, router.edge_levels()
     cache = sim.path_cache

@@ -21,9 +21,11 @@ from repro.routing.destinations import (
     PBiasedHypercubeDestinations,
     UniformDestinations,
 )
-from repro.routing.greedy import GreedyArrayRouter
+from repro.routing.greedy import GreedyArrayRouter, GreedyKDRouter
 from repro.routing.hypercube_greedy import GreedyHypercubeRouter
-from repro.topology.array_mesh import ArrayMesh
+from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
+from repro.scenarios import build_network
+from repro.topology.array_mesh import ArrayMesh, KDArray
 from repro.topology.butterfly import Butterfly
 from repro.topology.hypercube import Hypercube
 
@@ -191,3 +193,112 @@ class TestGenericSolverOtherTopologies:
                 [1.0, 2.0],
                 source_nodes=[0, 1, 2],
             )
+
+    def test_repeated_source_nodes_rejected(self):
+        mesh = ArrayMesh(3)
+        with pytest.raises(ValueError, match="repeats node 0"):
+            edge_rates_from_routing(
+                GreedyArrayRouter(mesh),
+                UniformDestinations(9),
+                [1.0, 2.0],
+                source_nodes=[0, 0],
+            )
+
+
+def _per_pair_rates(router, destinations, node_rates, source_nodes=None):
+    """The plain per-pair triple loop: ``path`` per (src, dst), one
+    ``rates[e] += w`` per hop, sources in the given order."""
+    n = router.topology.num_nodes
+    sources = list(range(n)) if source_nodes is None else list(source_nodes)
+    if np.isscalar(node_rates):
+        rate_of = {s: float(node_rates) for s in sources}
+    else:
+        rate_of = {s: float(r) for s, r in zip(sources, node_rates)}
+    rates = np.zeros(router.topology.num_edges)
+    for src in sources:
+        lam_src = rate_of[src]
+        if lam_src == 0.0:
+            continue
+        pmf = destinations.pmf(src)
+        for dst in range(n):
+            w = lam_src * pmf[dst]
+            if w == 0.0 or dst == src:
+                continue
+            for e in router.path(src, dst):
+                rates[e] += w
+    return rates
+
+
+def _scenario(name, n, **params):
+    net = build_network(name, n, **params)
+    return net.router, net.destinations, net.source_nodes
+
+
+#: Every scenario the generic solver calibrates, at two sizes (``single``
+#: exists only at n = 2). The larger sizes span several source blocks.
+SOLVER_SCENARIOS = [
+    ("hotspot", 5, {}),
+    ("hotspot", 14, {"h": 0.3, "hot_node": 17}),
+    ("transpose", 4, {}),
+    ("transpose", 11, {}),
+    ("geometric", 6, {}),
+    ("geometric", 13, {"stop": 0.3}),
+    ("torus", 5, {}),
+    ("torus", 12, {}),
+    ("bitreversal", 3, {}),
+    ("bitreversal", 7, {}),
+    ("single", 2, {}),
+]
+
+
+class TestVectorizedSolverBitIdentity:
+    """The blocked, vectorized solver reproduces the per-pair loop's
+    float additions in order, so its rates match byte for byte."""
+
+    @pytest.mark.parametrize(
+        "name, n, params", SOLVER_SCENARIOS,
+        ids=[f"{name}-{n}" for name, n, _ in SOLVER_SCENARIOS],
+    )
+    def test_scenarios(self, name, n, params):
+        router, dests, sources = _scenario(name, n, **params)
+        got = edge_rates_from_routing(router, dests, 0.37, source_nodes=sources)
+        want = _per_pair_rates(router, dests, 0.37, sources)
+        assert got.tobytes() == want.tobytes()
+
+    def test_vector_rates_with_zeros_on_a_shuffled_subset(self):
+        router, dests, _ = _scenario("hotspot", 9, h=0.4)
+        rng = np.random.default_rng(3)
+        sources = rng.permutation(81)[:50].tolist()
+        lam = rng.random(50)
+        lam[::4] = 0.0
+        got = edge_rates_from_routing(router, dests, lam, source_nodes=sources)
+        want = _per_pair_rates(router, dests, lam, sources)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "router, dests",
+        [
+            (RandomizedGreedyArrayRouter(ArrayMesh(6)),
+             GeometricStopDestinations(ArrayMesh(6), 0.4)),
+            (GreedyKDRouter(KDArray((3, 4, 3))), UniformDestinations(36)),
+        ],
+        ids=["randomized", "kd"],
+    )
+    def test_routers_without_route_batch(self, router, dests):
+        assert not hasattr(router, "route_batch")
+        got = edge_rates_from_routing(router, dests, 0.2)
+        want = _per_pair_rates(router, dests, 0.2)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("pairs_per_block", [1, 50, 100])
+    def test_partial_last_block(self, pairs_per_block, monkeypatch):
+        """Blocks of 1, 2 and 4 sources over 25 sources: one source per
+        block, or a short last block."""
+        monkeypatch.setattr(
+            "repro.core.rates.PAIRS_PER_BLOCK", pairs_per_block
+        )
+        router, dests, _ = _scenario("geometric", 5)
+        lam = np.linspace(0.0, 1.0, 25)
+        got = edge_rates_from_routing(router, dests, lam)
+        want = _per_pair_rates(router, dests, lam)
+        assert got.tobytes() == want.tobytes()

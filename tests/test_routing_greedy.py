@@ -1,6 +1,6 @@
 """Unit and property tests for greedy array routing, including the
-closed-form batch routes and static edge levels of the vectorized
-kernels (mesh and hypercube)."""
+closed-form batch routes (mesh, torus and hypercube) and static edge
+levels of the vectorized kernels (mesh and hypercube)."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from repro.routing.greedy import GreedyArrayRouter, GreedyKDRouter
 from repro.routing.hypercube_greedy import GreedyHypercubeRouter
+from repro.routing.torus_greedy import GreedyTorusRouter
 from repro.topology.array_mesh import ArrayMesh, KDArray
 from repro.topology.hypercube import Hypercube
+from repro.topology.torus import Torus
 
 
 class TestGreedyArrayRouter:
@@ -173,6 +175,36 @@ class TestClosedFormRoutes:
         _assert_route_batch_matches_path(
             router, [s for s, _ in pairs], [t for _, t in pairs]
         )
+
+    @given(
+        rows=st.integers(3, 8),
+        cols=st.integers(3, 8),
+        column_first=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_torus_route_batch_matches_path(self, rows, cols, column_first, data):
+        router = GreedyTorusRouter(Torus(rows, cols), column_first=column_first)
+        node = st.integers(0, rows * cols - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node), max_size=30))
+        _assert_route_batch_matches_path(
+            router, [s for s, _ in pairs], [d for _, d in pairs]
+        )
+
+    @pytest.mark.parametrize(
+        "rows, cols", [(4, 6), (5, 5), (3, 8)], ids=["even", "odd", "mixed"]
+    )
+    @pytest.mark.parametrize("column_first", [False, True], ids=["row", "col"])
+    def test_torus_all_pairs(self, rows, cols, column_first):
+        """Every pair, including the half-way ties of even rings, which
+        resolve forward."""
+        router = GreedyTorusRouter(Torus(rows, cols), column_first=column_first)
+        _assert_route_batch_matches_path(router, *_all_pairs(rows * cols))
+
+    @pytest.mark.parametrize("column_first", [False, True], ids=["row", "col"])
+    def test_torus_empty_batch(self, column_first):
+        router = GreedyTorusRouter(Torus(4, 5), column_first=column_first)
+        _assert_route_batch_matches_path(router, [], [])
 
     @pytest.mark.parametrize(
         "rows, cols", [(5, 5), (3, 6), (6, 2)], ids=["square", "wide", "tall"]

@@ -121,3 +121,25 @@ class TestCalibration:
         # the bottleneck under heavy hot-spot mass).
         heads = {net.router.topology.edge_endpoints(e)[1] for e in np.where(mask)[0]}
         assert hot in heads
+
+    @pytest.mark.parametrize(
+        "name, n",
+        [("hotspot", 6), ("geometric", 5), ("transpose", 6), ("torus", 5),
+         ("bitreversal", 4)],
+    )
+    def test_calibration_routes_in_closed_form(self, name, n, monkeypatch):
+        """Generic calibration of the greedy mesh, torus and hypercube
+        workloads never walks a per-pair ``path``."""
+        from repro.routing.greedy import GreedyArrayRouter
+        from repro.routing.hypercube_greedy import GreedyHypercubeRouter
+        from repro.routing.torus_greedy import GreedyTorusRouter
+
+        def no_path(self, src, dst):
+            raise AssertionError(f"{type(self).__name__}.path called")
+
+        for cls in (GreedyArrayRouter, GreedyHypercubeRouter, GreedyTorusRouter):
+            monkeypatch.setattr(cls, "path", no_path)
+        rate, mask = resolve_cell(
+            CellSpec(scenario=name, n=n, rho=0.8, track_saturated=True)
+        )
+        assert rate > 0 and mask.any()
