@@ -317,6 +317,8 @@ def build_cases() -> dict:
     api_cell("api_ps_hotspot", "ps", scenario="hotspot", n=4,
              node_rate=0.10, seed=27,
              params=(("h", 0.3), ("hot_node", 5)))
+    api_cell("api_slotted_uniform", "slotted", scenario="uniform",
+             n=5, node_rate=0.10, seed=11, warmup=10.0)
     api_cell("api_slotted_uniform_compat", "slotted", scenario="uniform",
              n=5, node_rate=0.10, seed=11, warmup=10.0,
              engine_params=(("batch_rng", False),))

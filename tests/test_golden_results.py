@@ -101,6 +101,7 @@ def test_fixture_covers_all_five_engines(golden):
         "api_fifo_uniform",
         "api_rushed_uniform",
         "api_ps_hotspot",
+        "api_slotted_uniform",
         "api_slotted_uniform_compat",
         "api_finite_hotspot_k1",
     ):
@@ -115,6 +116,7 @@ def test_api_cells_match_direct_cells(golden):
         ("api_fifo_uniform", "event_uniform_det"),
         ("api_rushed_uniform", "rushed_uniform"),
         ("api_ps_hotspot", "ps_hotspot"),
+        ("api_slotted_uniform", "slotted_uniform"),
         ("api_slotted_uniform_compat", "slotted_uniform_compat"),
         ("api_finite_hotspot_k1", "finite_hotspot_k1"),
     ):
