@@ -1,5 +1,5 @@
 """Hot-path throughput benchmarks: all four engines (event, slotted,
-rushed, PS), cached vs uncached, calendar queue vs heap, 8x8-32x32 meshes.
+rushed, PS), cached vs uncached, 8x8-32x32 meshes.
 
 ``scripts/check.sh`` runs this file with ``--benchmark-json`` so the
 engine throughput trajectory is recorded across PRs
@@ -37,9 +37,10 @@ re-linearisation, so the port is about shared architecture and
 validation parity, not throughput).
 
 The calendar queue has since grown Brown's-rule adaptive bucket widths
-(its only mode); the exponential cell appears on both queues —
-calendar and heap, bit-identical by the pop-order contract — so the
-pair isolates the pure data-structure cost.
+and is the only event queue the engines build; the exponential cell
+times its loop. The slotted engine has one draw order (blocked Poisson
+counts plus per-slot batches), which ``test_slotted_8x8`` and
+``test_slotted_32x32`` time.
 
 The vectorized ``backend="numpy"`` whole-trajectory solver is timed by
 the three ``*_numpy`` cells on the 32x32 acceptance configurations
@@ -194,14 +195,6 @@ def test_event_32x32_exponential_calendar(best_of, benchmark):
     assert res.generated > 10_000
 
 
-def test_event_32x32_exponential_heap(best_of, benchmark):
-    """The same cell on the binary heap, for the structural contrast."""
-    sim = _event_cell(32, service="exponential", event_queue="heap")
-    res = best_of(sim.run, WARMUP, HORIZON)
-    _record(benchmark, res, PRE_PR_EVENT_EXP_32)
-    assert res.generated > 10_000
-
-
 def test_rushed_16x16(best_of, benchmark):
     """The PR-3-ported rushed engine (Theorem 10 copies) on its
     monotone-merge loop with the shared path-cache arena."""
@@ -271,8 +264,8 @@ def test_event_32x32_numpy(best_of, benchmark):
 
 def test_slotted_32x32_numpy(best_of, benchmark):
     """The vectorized slot kernel on the 32x32 acceptance cell, cold
-    every round, against the batched python kernel (``batch_rng=True``,
-    its fastest mode) on the identical cold cell."""
+    every round, against the python slot kernel on the identical cold
+    cell."""
     window = (int(WARMUP), int(HORIZON))
     t_python = _best_seconds(_cold_run, lambda: _slotted_cell(32), *window)
     res = best_of(_cold_run, lambda: _slotted_cell(32, backend="numpy"), *window)
@@ -314,25 +307,16 @@ def test_finite_32x32_numpy(best_of, benchmark):
 
 
 def test_slotted_8x8(best_of, benchmark):
-    """The legacy-compatible kernel (batch_rng=False; the engine default
-    is the fully batched order since the registry redesign)."""
+    """The python slot kernel (blocked Poisson counts + batched ids)."""
     sim = _slotted_cell(8)
-    res = best_of(sim.run, int(WARMUP), int(HORIZON), batch_rng=False)
+    res = best_of(sim.run, int(WARMUP), int(HORIZON))
     _record(benchmark, res, PRE_PR_SLOTTED[8])
     assert res.generated > 2000
 
 
 def test_slotted_32x32(best_of, benchmark):
-    """The legacy-compatible kernel (batch_rng=False)."""
+    """The python slot kernel (blocked Poisson counts + batched ids)."""
     sim = _slotted_cell(32)
-    res = best_of(sim.run, int(WARMUP), int(HORIZON), batch_rng=False)
-    _record(benchmark, res, PRE_PR_SLOTTED[32])
-    assert res.generated > 10_000
-
-
-def test_slotted_32x32_batch_rng(best_of, benchmark):
-    """The fully batched draw order (blocked Poisson + batched ids)."""
-    sim = _slotted_cell(32)
-    res = best_of(sim.run, int(WARMUP), int(HORIZON), batch_rng=True)
+    res = best_of(sim.run, int(WARMUP), int(HORIZON))
     _record(benchmark, res, PRE_PR_SLOTTED[32])
     assert res.generated > 10_000

@@ -102,7 +102,7 @@ def test_sharedcells_publish(benchmark):
 
 
 def test_replication_slotted_cell(once):
-    """The slotted engine through the registry (batch_rng default True)."""
+    """The slotted engine through the registry."""
     spec = CellSpec(
         scenario="uniform", n=8, rho=0.8, engine="slotted",
         warmup=100, horizon=1000, seeds=(0, 1, 2, 3),

@@ -14,7 +14,7 @@ artifacts:
   changes the draw stream or the recorded surface (an exponential-service
   cell when the engine supports :data:`~repro.sim.fifo_network.EXPONENTIAL`,
   a saturated-tracking cell for ``supports_saturated``, a maxima cell for
-  ``supports_maxima``, both draw-order streams for a ``batch_rng`` knob,
+  ``supports_maxima``,
   and both a lossy and an infinite-buffer cell for a ``buffer_size``
   knob). Only the reference ``python`` backend is draw-order-pinned, so
   other backends are golden-exempt — covering them is bench-coverage's
@@ -167,14 +167,6 @@ class GoldenCoverageRule(Rule):
                 "as -1)",
                 "a track_maxima cell",
             )
-        if "batch_rng" in param_names:
-            compat = [n for n in direct if n.endswith("_compat")]
-            if not compat or len(compat) == len(direct):
-                yield miss(
-                    "both batch_rng draw orders (batched cells and "
-                    "'*_compat' legacy-stream cells)",
-                    "cells for both batch_rng values",
-                )
         if "buffer_size" in param_names:
             if not any("dropped" in cell for cell in direct.values()):
                 yield miss(

@@ -13,8 +13,9 @@ three RNG conventions that used to live only in review memory:
   right-sided CDF bisection (the pinned-CDF source draw); scalar
   ``rng.poisson(...)`` / ``rng.exponential(...)`` / ``rng.normal(...)``
   (no ``size=``) bypass the blocked-draw helpers that make draw order
-  reproducible and cheap. Legacy compat streams that must keep a scalar
-  draw carry a ``# replint: disable=rng-discipline`` with the reason.
+  reproducible and cheap. A pinned stream that must keep a scalar draw
+  (the PS engine's re-planned arrival gap) carries a
+  ``# replint: disable=rng-discipline`` with the reason.
 * **No nondeterminism sources in engine code.** Iterating a ``set``
   (unordered), ``time.time()`` / ``datetime.now()`` (wall clock) and
   no-argument ``popitem()`` have no place in a trajectory that must be a

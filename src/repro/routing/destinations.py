@@ -21,7 +21,7 @@ replacing a scalar loop with one batch call is *bit-identical* (NumPy
 ``Generator`` array fills are sequential draws of the same routine). Laws
 with data-dependent draw counts (hot-spot's conditional uniform draw, the
 geometric stopping chain) cannot make that promise and set the flag false;
-the engines' RNG-compatible paths keep those laws on the scalar loop.
+the event-driven engines keep those laws on the scalar per-packet draw.
 
 The paper's standard model is :class:`UniformDestinations`; Section 4.5
 uses :class:`PBiasedHypercubeDestinations`, and Section 5.2's
@@ -333,9 +333,6 @@ class PermutationDestinations:
     """
 
     batch_stream_identical = True
-    #: Degenerate law: sampling consumes no RNG, so engines may batch the
-    #: *source* draws around it without disturbing the legacy stream.
-    consumes_rng = False
 
     def __init__(self, perm) -> None:
         p = np.asarray(perm, dtype=np.int64)

@@ -34,10 +34,9 @@ many seeds". Two registries plus one spec type cover that whole space:
 * **engines** (:mod:`repro.sim.registry`) name the simulator — ``fifo``
   (alias ``event``), ``finite``, ``slotted``, ``rushed``, ``ps`` — each
   entry carrying its supported service laws, its typed engine-specific
-  knobs (:class:`~repro.sim.registry.EngineParam`: fifo/finite/rushed/ps
-  ``event_queue``, slotted ``batch_rng``, per-edge ``service_rates``,
-  the finite engine's ``buffer_size``, the kernel-layer engines'
-  ``backend``), its supported kernel backends
+  knobs (:class:`~repro.sim.registry.EngineParam`: per-edge
+  ``service_rates``, the finite engine's ``buffer_size``, the
+  kernel-layer engines' ``backend``), its supported kernel backends
   (:attr:`~repro.sim.registry.Engine.backends`) and the ``run_cell``
   builder the replication layer dispatches to;
 * a :class:`CellSpec` is the declarative cross of the two — scenario
@@ -48,13 +47,13 @@ many seeds". Two registries plus one spec type cover that whole space:
   cell into a :class:`ReplicatedResult` with across-replication means
   and ~95% confidence intervals.
 
-Any scenario x engine x service x event-queue combination is one spec::
+Any scenario x engine x service x engine-param combination is one spec::
 
     from repro.sim import CellSpec, ReplicationEngine
 
-    spec = CellSpec(scenario="hotspot", n=8, rho=0.8, engine="rushed",
+    spec = CellSpec(scenario="hotspot", n=8, rho=0.8, engine="finite",
                     warmup=200, horizon=2000, seeds=tuple(range(8)),
-                    engine_params=(("event_queue", "heap"),))
+                    engine_params=(("buffer_size", 4),))
     pooled = ReplicationEngine(processes=4).run(spec)
     print(pooled.render())  # per-seed rows + pooled row with CIs
 
@@ -114,7 +113,7 @@ rate validation, the pinned source CDF behind the boundary-safe
 ``side='right'`` draw, the uniform fast-id predicate and the shared path
 cache. The one deliberate asymmetry is the fast-id source-order mode:
 the event-driven engines accept any full source set (``SORTED_IDS``),
-the slotted compat kernel requires the identity order
+the slotted kernel's id-pair draw requires the identity order
 (``IDENTITY_IDS``), and PS opts out (``NO_FAST_IDS``) — a load-bearing
 difference the identity-vs-sorted regression tests pin.
 
@@ -132,8 +131,7 @@ engine     ``backend="python"``         ``backend="numpy"``
                                         deterministic service only
 ``finite`` the fifo loops plus the      ``buffer_size=None`` only
            tail-drop test (default)     (delegates to the fifo kernel)
-``slotted``reference loop (default)     batched slot kernel;
-                                        ``batch_rng=True`` only
+``slotted``reference loop (default)     batched slot kernel
 ``rushed`` reference loop               —
 ``ps``     reference loop               —
 ========== ============================ ==============================
@@ -155,8 +153,7 @@ same result) and *statistically equivalent*, but not
 draw-order-identical: blocked draws interleave differently once a run
 crosses an RNG block boundary, and equal-eligibility slot ties may
 swap. Distribution-level parity tests (``tests/test_sim_kernels.py``)
-pin that tier, the same discipline as the slotted ``batch_rng``
-redefinition. Options the vectorized kernels cannot honour
+pin that tier. Options the vectorized kernels cannot honour
 (``track_maxima``, ``track_utilization``, finite buffers, exponential
 service, routes whose edge-precedence graph has cycles — e.g. torus
 wrap-around) raise ``ValueError`` pointing back to ``backend="python"``
@@ -197,34 +194,23 @@ order, so the event engine, the finite-buffer engine (drops never
 schedule events) and the rushed engine replace the priority queue with
 an O(1) merge of a departure deque and the pending arrival. The
 stochastic-service cases (exponential service, per-edge rates) run on
-a pluggable event queue (:mod:`repro.sim.eventqueue`): a *calendar
-queue* — a bucketed event list whose buckets are sorted once on
-activation, with a small day-heap skipping empty buckets, and whose
-bucket width is re-estimated from queue occupancy by Brown's rule
-(``"calendar"``, the default) — or the classic binary heap
-(``"heap"``). Both pop the exact ``(time, seq)`` order, so the choice
-is benchmarkable without touching the contract.
-PS has no monotone structure to exploit (completions are re-planned on
-every queue change), so its versioned-event loop rides the same
-pluggable queue — ``event_queue="calendar"`` by default, bit-identical
-with ``"heap"``.
+a *calendar queue* (:mod:`repro.sim.eventqueue`) — a bucketed event
+list whose buckets are sorted once on activation, with a small day-heap
+skipping empty buckets, and whose bucket width is re-estimated from
+queue occupancy by Brown's rule. It pops a binary heap's exact
+``(time, seq)`` order. PS has no monotone structure to exploit
+(completions are re-planned on every queue change), so its
+versioned-event loop rides the same calendar queue.
 
 **Blocked and batched draws.** NumPy ``Generator`` array fills are
 stream-identical to the same number of consecutive scalar draws of the
 same kind. The engines exploit that: the event engine consumes
 exponential gaps and uniform id pairs from 8192-size blocks (ids refill
-exactly when all ``2 * 8192`` are consumed); the slotted engine samples a
-whole slot's sources/destinations/path views with single vectorized calls
-whenever the legacy per-packet draw sequence was a run of same-kind draws
-(uniform id pairs; RNG-free destination laws), and otherwise keeps the
-scalar loop. ``batch_rng=True`` — the slotted default since the registry
-redesign closed the ROADMAP deprecation window (``batch_rng=False``
-keeps the legacy stream, pinned by the ``slotted_*_compat`` golden
-cells) — goes further and *redefines* the draw order: Poisson counts
-blocked like the event engine's exponentials, then per slot: source
-batch, destination ``sample_batch``, router coin batch — trading
-bit-compatibility for full vectorization of data-dependent laws
-(hot-spot, geometric).
+exactly when all ``2 * 8192`` are consumed); the slotted engine blocks
+its Poisson slot counts the same way and samples each slot's sources,
+destinations and path views as whole batches — uniform id pairs, or a
+source batch, a destination ``sample_batch`` and a router coin batch —
+so data-dependent laws (hot-spot, geometric) vectorize too.
 
 Statically enforced invariants
 ------------------------------
@@ -259,11 +245,11 @@ repro.analysis``), which CI runs as a merge gate next to the tests
   contract of the replication fan-out, statically.
 
 Intentional exceptions carry a ``# replint: disable=RULE`` comment with
-a reason (the legacy per-slot Poisson draw and the PS re-planned
-exponential gap are the shipped examples — their scalar draw order *is*
-the pinned stream). A strict mypy tier (see ``pyproject.toml``) covers
-the kernels, registry, shared-cells, pool and sweep modules for the
-same reason: those carry the cross-process contracts.
+a reason (the PS re-planned exponential gap is the shipped example —
+its scalar draw order *is* the pinned stream). A strict mypy tier (see
+``pyproject.toml``) covers the kernels, registry, shared-cells, pool and
+sweep modules for the same reason: those carry the cross-process
+contracts.
 
 **Why same-seed bit-identity is the regression contract.** A stochastic
 simulation has no other cheap, exact oracle: statistical assertions pass
@@ -275,8 +261,7 @@ the floating-point accumulation order all observable, so every hot-path
 change is either provably output-neutral or an explicit, documented
 contract change (regenerate via ``tests/golden/regen.py``). This is why
 the monotone-merge event loop replays the heap's exact ``(time, seq)``
-pop order, and why the slotted engine's default kernel only vectorizes
-stream-compatible draw runs.
+pop order.
 """
 
 from repro.sim.result import SimResult

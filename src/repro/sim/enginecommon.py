@@ -18,9 +18,10 @@ the fast-id predicate demands*:
   directly (``rng.integers(0, num_nodes)``), so any ordering of a full
   source set works — they require only **sorted** equality with
   ``range(num_nodes)``;
-* the slotted engine's vectorized compat kernel replays the legacy
-  per-packet stream where a drawn id *is* the source's index, so it
-  requires the **identity** order ``source_nodes == range(num_nodes)``;
+* the slotted engine's id-pair draw requires the **identity** order
+  ``source_nodes == range(num_nodes)`` (a rule kept from its original
+  per-packet stream, where a drawn id was the source's index; any other
+  order takes the source-batch draw instead);
 * the PS engine has no fast-id path at all.
 
 That difference is expressed as the ``fast_id_order`` mode
@@ -65,7 +66,7 @@ class EngineCommon:
     fast_id_order:
         Which source ordering the engine's fast-id block draw requires:
         :data:`SORTED_IDS` (event-driven engines), :data:`IDENTITY_IDS`
-        (the slotted compat kernel) or :data:`NO_FAST_IDS` (PS).
+        (the slotted engine) or :data:`NO_FAST_IDS` (PS).
     path_cache, use_path_cache:
         Passed to :func:`~repro.routing.pathcache.resolve_path_cache`.
 

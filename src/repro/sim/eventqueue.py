@@ -3,22 +3,23 @@
 The monotone-merge loop (uniform deterministic service) removed the heap
 from the engines' common case, but exponential and per-edge deterministic
 service still need a priority queue: departure times are not monotone in
-push order. This module provides that queue's first structural
-alternative to ``heapq`` — a *calendar queue* (bucketed event list) — plus
-a thin ``heapq`` adapter so the engines can select either behind one
-``push``/``pop`` interface.
+push order. Every such loop uses the *calendar queue* (bucketed event
+list) defined here. ``HeapEventQueue``, a ``heapq`` adapter with the same
+``push``/``pop`` interface, is built by no engine; it stays only because
+the benchmark's tracer (``perfbench/tracing.py``) imports both classes
+and counts calls on each.
 
 Bit-identity contract
 ---------------------
-Both queues pop events in the exact total order ``heapq`` would: event
-tuples start with ``(time, seq)`` and ``seq`` is unique per run, so the
-tuple order is total and no comparison ever reaches the payload. The
+The calendar queue pops events in the exact total order ``heapq`` would:
+event tuples start with ``(time, seq)`` and ``seq`` is unique per run, so
+the tuple order is total and no comparison ever reaches the payload. The
 calendar queue preserves that order structurally — events are bucketed by
 ``floor(time / width)`` (bucket time ranges are disjoint, so all events of
 an earlier bucket precede all events of a later one) and each bucket is
 sorted on activation, with same-bucket pushes merged in by ``insort``.
 Golden fixtures for the exponential and per-edge service cells therefore
-pin the calendar loop exactly as they pinned the heap loop.
+pin the calendar loop exactly as they would pin a heap loop.
 
 Why a calendar queue: ``heapq`` costs O(log n) comparisons per push *and*
 per pop on one global heap. The calendar queue does an O(1) list append
@@ -43,10 +44,6 @@ positive width preserves the global ``(time, seq)`` order — bucket
 ranges stay disjoint and within-bucket order is restored by the
 activation sort — so the adaptive queue pops the exact heap order and
 stays pinned by the same golden fixtures and parity tests.
-
-Engines select a queue by name (``event_queue=``): ``"calendar"`` (the
-default) or ``"heap"``. The two pop the identical order, so the choice
-only matters for benchmarking the calendar queue against ``heapq``.
 """
 
 from __future__ import annotations
@@ -64,8 +61,9 @@ _RESIZE_SAMPLE = 64
 _WIDTH_FACTOR = 3.0
 
 
+# Unused by the engines; kept because perfbench's tracer patches its push/pop.
 class HeapEventQueue:
-    """``heapq`` behind the shared push/pop interface (the baseline)."""
+    """``heapq`` behind the calendar queue's push/pop interface."""
 
     __slots__ = ("_heap",)
 
@@ -222,21 +220,3 @@ class CalendarQueue:
     def __bool__(self) -> bool:
         return self._count > 0
 
-
-#: Engine constructor vocabulary for selecting the stochastic-service
-#: event queue (the uniform-deterministic merge loop bypasses both): the
-#: calendar (default) and the binary heap. Both pop the identical
-#: (time, seq) order.
-CALENDAR, HEAP = "calendar", "heap"
-QUEUE_KINDS = (CALENDAR, HEAP)
-
-
-def make_event_queue(kind: str, *, width: float):
-    """Build the requested queue; ``width`` only matters for the calendar."""
-    if kind == CALENDAR:
-        return CalendarQueue(width)
-    if kind == HEAP:
-        return HeapEventQueue()
-    raise ValueError(
-        f"event_queue must be one of {'/'.join(QUEUE_KINDS)}, got {kind!r}"
-    )

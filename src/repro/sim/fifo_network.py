@@ -15,10 +15,9 @@ large-mesh statistics" as the risk):
   FIFO departure deque plus the single pending arrival) with the exact
   same ``(time, seq)`` pop order — O(1) per event instead of O(log n);
 * the general case (exponential or per-edge service times) runs on a
-  pluggable event queue (:mod:`repro.sim.eventqueue`): a calendar queue
-  (bucketed event list, the default) or the classic binary heap, both
-  popping the exact same ``(time, seq)`` order, with the arrival
-  sentinel merged in;
+  calendar queue (:mod:`repro.sim.eventqueue`, a bucketed event list
+  popping the exact ``(time, seq)`` order of a binary heap), with the
+  arrival sentinel merged in;
 * external arrivals use a *merged* Poisson stream — one exponential gap at
   rate ``sum of node rates`` with the source drawn per packet — which is
   distributionally identical to independent per-node streams and avoids
@@ -57,7 +56,6 @@ from repro.sim.enginecommon import (
     resolve_saturated_mask,
     resolve_service_rates,
 )
-from repro.sim.eventqueue import CALENDAR, QUEUE_KINDS
 from repro.sim.kernels import (
     FIFO_KERNEL,
     NUMPY_BACKEND,
@@ -111,14 +109,6 @@ class NetworkSimulation:
         runs — e.g. one cache for all replications of a cell. Must have
         been built for this very ``router`` instance (an equal-sized
         topology under a different scheme would silently route wrong).
-    event_queue:
-        Event-queue structure for the stochastic-service loop
-        (exponential or per-edge deterministic service): ``"calendar"``
-        (bucketed event list with Brown's-rule adaptive widths, the
-        default) or ``"heap"`` (binary heap). Both pop the identical
-        ``(time, seq)`` order, so outputs are bit-identical either way —
-        this exists for benchmarking the calendar queue. The
-        uniform-deterministic merge loop bypasses both.
     backend:
         Kernel backend for the hot loop (see :mod:`repro.sim.kernels`):
         ``"python"`` (the default) runs the extracted reference loops
@@ -141,19 +131,12 @@ class NetworkSimulation:
         seed: int = 0,
         use_path_cache: bool = True,
         path_cache=None,
-        event_queue: str = CALENDAR,
         backend: str = PYTHON_BACKEND,
     ) -> None:
         if service not in (DETERMINISTIC, EXPONENTIAL):
             raise ValueError(
                 f"service must be '{DETERMINISTIC}' or '{EXPONENTIAL}', got {service!r}"
             )
-        if event_queue not in QUEUE_KINDS:
-            raise ValueError(
-                f"event_queue must be one of {'/'.join(QUEUE_KINDS)}, "
-                f"got {event_queue!r}"
-            )
-        self.event_queue = event_queue
         self.service = service
         self.seed = int(seed)
 

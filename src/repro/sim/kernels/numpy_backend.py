@@ -69,14 +69,13 @@ contract in :mod:`repro.sim`. The draw order, for regression pinning:
   and an interned router draws whatever its ``sample_path`` draws, pair
   by pair.
 * slotted: per-slot Poisson counts in 8192-size blocks (the same block
-  discipline as the python backend's ``batch_rng=True``), then the same
+  discipline as the python backend), then the same
   id/source/destination/route batches as fifo, once for all slots.
 
 Unsupported options raise ``ValueError`` rather than silently diverge:
 ``track_utilization``, ``track_number_distribution`` and
 ``track_maxima`` (order statistics need the event interleaving),
-slotted ``batch_rng=False`` (the legacy compat stream is per-packet by
-definition), finite buffers (state-dependent admission breaks the
+finite buffers (state-dependent admission breaks the
 max-plus decomposition; rejected at construction), and non-uniform or
 exponential service for fifo (rejected at construction).
 """
@@ -447,17 +446,10 @@ def run_slotted(
     delay_batches: int = 32,
     track_maxima: bool = False,
     collect_delays: bool = False,
-    batch_rng: bool = True,
 ) -> SimResult:
     """Vectorized slotted kernel (integer max-plus over slots)."""
     if track_maxima:
         _reject("track_maxima", "slotted")
-    if not batch_rng:
-        raise ValueError(
-            "backend='numpy' supports only the batched draw order "
-            "(batch_rng=True); the legacy compat stream is per-packet "
-            "by definition — use backend='python'"
-        )
     rng = make_rng(sim.seed, engine="slotted", backend="numpy")
     tau = sim.tau
     warmup = warmup_slots * tau

@@ -19,12 +19,11 @@ stale entries are skipped on pop. Cost is O(k) per queue event, which
 is fine at the modest sizes the PS comparisons run at (its purpose is
 validation, not Table-scale statistics). Because completions are
 re-planned (truly stochastic event times), this engine needs a priority
-queue — the merge loop does not apply — and since PR 6 that queue is the
-pluggable :mod:`repro.sim.eventqueue` structure the FIFO/rushed/finite
-stochastic loops use (``event_queue="calendar"`` by default; every kind
-pops the identical ``(time, seq)`` order, so outputs are bit-identical
-and the PS golden cells pin the calendar loop exactly as they pinned the
-heap). It shares the rest of the hot-path
+queue — the merge loop does not apply — and that queue is the
+:mod:`repro.sim.eventqueue` calendar queue the FIFO/rushed/finite
+stochastic loops use (it pops the exact ``(time, seq)`` order of a
+binary heap, so the PS golden cells pin the calendar loop exactly as
+they pinned the heap). It shares the rest of the hot-path
 architecture: paths come from the shared :mod:`repro.routing.pathcache`
 arena, packet records store ``(arena_offset, length)`` views, and the
 source draw uses the pinned CDF with ``side='right'`` so a boundary draw
@@ -46,7 +45,7 @@ from repro.sim.enginecommon import (
     EngineCommon,
     resolve_service_rates,
 )
-from repro.sim.eventqueue import CALENDAR, QUEUE_KINDS, make_event_queue
+from repro.sim.eventqueue import CalendarQueue
 from repro.sim.measurement import TimeBatchAccumulator
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
@@ -58,10 +57,7 @@ class PSNetworkSimulation:
 
     Parameters mirror :class:`repro.sim.NetworkSimulation` (service is
     always unit-work PS; ``use_path_cache`` / ``path_cache`` control the
-    shared path-cache arena exactly as there, and ``event_queue`` selects
-    the completion-event priority structure from
-    :data:`repro.sim.eventqueue.QUEUE_KINDS` — bit-identical outputs for
-    every kind).
+    shared path-cache arena exactly as there).
     """
 
     def __init__(
@@ -75,15 +71,8 @@ class PSNetworkSimulation:
         seed: int = 0,
         use_path_cache: bool = True,
         path_cache=None,
-        event_queue: str = CALENDAR,
     ) -> None:
         self.seed = int(seed)
-        if event_queue not in QUEUE_KINDS:
-            raise ValueError(
-                f"event_queue must be one of {'/'.join(QUEUE_KINDS)}, "
-                f"got {event_queue!r}"
-            )
-        self.event_queue = event_queue
         phi = resolve_service_rates(service_rates, router.topology.num_edges)
         self._phi = phi.tolist()
         # Shared constructor policy. PS has no fast-id block draw
@@ -140,7 +129,7 @@ class PSNetworkSimulation:
         # All pushes carry times >= the current event time (completions
         # are re-planned forward, arrivals add an exponential gap), so the
         # calendar queue's monotone-push contract holds.
-        evq = make_event_queue(self.event_queue, width=1.0 / self.total_rate)
+        evq = CalendarQueue(1.0 / self.total_rate)
         seq = 0
         push = evq.push
         pop = evq.pop

@@ -10,9 +10,9 @@ experiment sweeps) need to know about a simulator:
   event-driven engine);
 * the service laws it supports;
 * its **engine-specific knobs** as typed :class:`EngineParam` metadata —
-  e.g. the FIFO/rushed ``event_queue`` structure, the slotted
-  ``batch_rng`` draw order, per-edge ``service_rates`` — validated when a
-  :class:`CellSpec` is built, long before a worker process touches them;
+  e.g. per-edge ``service_rates``, the finite ``buffer_size``, the kernel
+  ``backend`` — validated when a :class:`CellSpec` is built, long before
+  a worker process touches them;
 * capability flags (saturated-edge tracking, per-packet maxima, whether
   Little's-Law and the Theorem 7 bound sandwich are meaningful for its
   delay statistic);
@@ -28,32 +28,25 @@ the experiment sweeps, with no per-engine kwargs sprawl.
 Engine-specific parameters
 --------------------------
 ``fifo`` (alias ``event``)
-    ``event_queue``: ``"calendar"`` or ``"heap"`` — the stochastic-service
-    priority structure (outputs are bit-identical either way);
     ``service_rates``: per-edge ``phi_e`` (scalar broadcasts; pass a tuple
     to keep the spec hashable); ``backend``: the kernel backend
     (``"python"`` is the bit-identical reference, ``"numpy"`` the
     vectorized whole-trajectory solver — see :mod:`repro.sim.kernels`).
 ``slotted``
-    ``batch_rng``: fully batched draw order (blocked Poisson counts plus
-    per-slot source/destination/coin batches). **Default True** since the
-    registry redesign — pass ``batch_rng=False`` for the legacy
-    per-packet-compatible stream (see the deprecation note in
-    :mod:`repro.sim.slotted`). ``backend`` as for ``fifo`` (the numpy
-    slot kernel requires ``batch_rng=True``).
+    ``backend`` as for ``fifo``. The draw order is fixed (blocked Poisson
+    counts plus per-slot source/destination/coin batches; see
+    :mod:`repro.sim.slotted`).
 ``rushed``
-    ``event_queue`` and ``service_rates`` as for ``fifo``. The number of
+    ``service_rates`` as for ``fifo``. The number of
     copies per packet is not a free knob: Theorem 10's construction sends
     exactly one copy to every queue on the route, so the copy count is
     the path length by definition.
 ``ps``
     ``service_rates`` as for ``fifo`` (the PS discipline itself has no
     further parameters: equal sharing of ``phi_e`` among the customers
-    present), plus ``event_queue`` — PS completions are re-planned
-    stochastic times, so its versioned-event loop runs on the same
-    pluggable priority structure (bit-identical with either kind).
+    present).
 ``finite``
-    ``event_queue`` and ``service_rates`` as for ``fifo``, plus
+    ``service_rates`` as for ``fifo``, plus
     ``buffer_size``: per-node waiting room (a non-negative int broadcasts
     over all nodes, a tuple gives one value per node, ``None`` — the
     default — reproduces the infinite-buffer ``fifo`` engine
@@ -76,7 +69,6 @@ from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Any, Callable, Mapping
 
-from repro.sim.eventqueue import CALENDAR, QUEUE_KINDS
 from repro.sim.fifo_network import DETERMINISTIC, EXPONENTIAL, NetworkSimulation
 from repro.sim.kernels import KERNEL_BACKENDS, PYTHON_BACKEND
 from repro.sim.finite_buffer import FiniteBufferNetworkSimulation
@@ -88,7 +80,7 @@ from repro.sim.slotted import SlottedNetworkSimulation
 FIFO, SLOTTED, RUSHED, PS, FINITE = "fifo", "slotted", "rushed", "ps", "finite"
 
 #: Value-kind tags for :class:`EngineParam` validation.
-BOOL, CHOICE, RATE_OR_RATES = "bool", "choice", "rate-or-rates"
+CHOICE, RATE_OR_RATES = "choice", "rate-or-rates"
 SIZE_OR_SIZES = "size-or-sizes"
 
 
@@ -96,8 +88,8 @@ SIZE_OR_SIZES = "size-or-sizes"
 class EngineParam:
     """Typed metadata for one engine-specific knob.
 
-    ``kind`` selects the validation rule: :data:`BOOL` (a real ``bool``),
-    :data:`CHOICE` (a string from ``choices``), :data:`RATE_OR_RATES`
+    ``kind`` selects the validation rule: :data:`CHOICE` (a string from
+    ``choices``), :data:`RATE_OR_RATES`
     (a positive scalar, or a tuple of per-edge values — tuples, not
     lists/arrays, so the owning spec stays hashable and picklable) or
     :data:`SIZE_OR_SIZES` (``None``, a non-negative int, or a tuple of
@@ -112,12 +104,7 @@ class EngineParam:
 
     def validate(self, value: object) -> None:
         """Raise ``ValueError`` unless ``value`` fits this parameter."""
-        if self.kind == BOOL:
-            if not isinstance(value, bool):
-                raise ValueError(
-                    f"engine param {self.name!r} expects a bool, got {value!r}"
-                )
-        elif self.kind == CHOICE:
+        if self.kind == CHOICE:
             if value not in self.choices:
                 raise ValueError(
                     f"engine param {self.name!r} must be one of "
@@ -257,15 +244,6 @@ def available_engines() -> list[Engine]:
 # ----------------------------------------------------------------------
 # Built-in engines.
 
-_EVENT_QUEUE_PARAM = EngineParam(
-    "event_queue",
-    CHOICE,
-    CALENDAR,
-    "priority structure for the stochastic-service loop (bit-identical "
-    "either way; calendar adapts its bucket width by Brown's rule, heap "
-    "is the binary-heap baseline)",
-    choices=QUEUE_KINDS,
-)
 _SERVICE_RATES_PARAM = EngineParam(
     "service_rates",
     RATE_OR_RATES,
@@ -282,10 +260,6 @@ _BACKEND_PARAM = EngineParam(
     "statistically equivalent, but not draw-order-identical",
     choices=KERNEL_BACKENDS,
 )
-
-#: Engine params consumed by ``run()`` rather than the constructor; the
-#: cell builders split ``engine_params`` on this set.
-_RUN_PARAMS = frozenset({"batch_rng"})
 
 
 def _fifo_cell(
@@ -314,11 +288,6 @@ def _fifo_cell(
 def _slotted_cell(
     spec: Any, seed: int, node_rate: Any, mask: Any, net: Any, cache: Any
 ) -> SimResult:
-    # The slotted engine splits its knobs: ``backend`` selects the kernel
-    # at construction, ``batch_rng`` is a per-run draw-order flag.
-    ep = spec.engine_params_dict
-    ctor_params = {k: v for k, v in ep.items() if k not in _RUN_PARAMS}
-    run_params = {k: v for k, v in ep.items() if k in _RUN_PARAMS}
     sim = SlottedNetworkSimulation(
         net.router,
         net.destinations,
@@ -328,7 +297,7 @@ def _slotted_cell(
         saturated_mask=mask,
         seed=seed,
         path_cache=cache,
-        **ctor_params,
+        **spec.engine_params_dict,
     )
     warmup_slots = int(round(spec.warmup / spec.tau))
     horizon_slots = max(1, int(round(spec.horizon / spec.tau)))
@@ -337,7 +306,6 @@ def _slotted_cell(
         horizon_slots,
         track_maxima=spec.track_maxima,
         collect_delays=spec.collect_delays,
-        **run_params,
     )
 
 
@@ -409,7 +377,7 @@ register_engine(
             "(deterministic service) and the Jackson model (exponential)"
         ),
         services=(DETERMINISTIC, EXPONENTIAL),
-        params=(_EVENT_QUEUE_PARAM, _SERVICE_RATES_PARAM, _BACKEND_PARAM),
+        params=(_SERVICE_RATES_PARAM, _BACKEND_PARAM),
         run_cell=_fifo_cell,
         supports_saturated=True,
         supports_maxima=True,
@@ -427,17 +395,7 @@ register_engine(
             "unit-slot transmission per non-empty edge"
         ),
         services=(DETERMINISTIC,),
-        params=(
-            EngineParam(
-                "batch_rng",
-                BOOL,
-                True,
-                "fully batched draw order (False replays the legacy "
-                "per-packet-compatible stream; the numpy backend "
-                "requires True)",
-            ),
-            _BACKEND_PARAM,
-        ),
+        params=(_BACKEND_PARAM,),
         run_cell=_slotted_cell,
         supports_saturated=True,
         supports_maxima=True,
@@ -454,7 +412,7 @@ register_engine(
             "served immediately; mean_delay is the per-packet makespan"
         ),
         services=(DETERMINISTIC,),
-        params=(_EVENT_QUEUE_PARAM, _SERVICE_RATES_PARAM),
+        params=(_SERVICE_RATES_PARAM,),
         run_cell=_rushed_cell,
         supports_saturated=True,
         supports_maxima=True,
@@ -471,7 +429,6 @@ register_engine(
         ),
         services=(DETERMINISTIC, EXPONENTIAL),
         params=(
-            _EVENT_QUEUE_PARAM,
             _SERVICE_RATES_PARAM,
             EngineParam(
                 "buffer_size",
@@ -506,9 +463,7 @@ register_engine(
             "phi_e among the customers present; product-form equilibrium"
         ),
         services=(DETERMINISTIC,),
-        # PS completions are re-planned stochastic times, so its
-        # versioned-event loop rides the pluggable queue too.
-        params=(_SERVICE_RATES_PARAM, _EVENT_QUEUE_PARAM),
+        params=(_SERVICE_RATES_PARAM,),
         run_cell=_ps_cell,
         supports_delays=True,
         supports_number_distribution=True,

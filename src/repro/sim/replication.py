@@ -121,10 +121,10 @@ class CellSpec:
     engine_params:
         Engine-specific knobs as a tuple of ``(name, value)`` pairs,
         validated against the registry's typed :class:`EngineParam`
-        metadata — e.g. ``(("event_queue", "heap"),)`` for the FIFO or
-        rushed engines, ``(("batch_rng", False),)`` to opt the slotted
-        engine back into the legacy draw order, or
-        ``(("service_rates", 2.0),)`` wherever per-edge rates apply.
+        metadata — e.g. ``(("buffer_size", 4),)`` for the finite
+        engine, ``(("backend", "numpy"),)`` for the kernel-layer
+        engines, or ``(("service_rates", 2.0),)`` wherever per-edge
+        rates apply.
         Unknown names or ill-typed values raise at spec construction,
         not inside a worker process. Like ``params``, kept as a sorted
         tuple so the spec stays hashable and picklable.

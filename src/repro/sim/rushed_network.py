@@ -25,9 +25,9 @@ come from the shared :mod:`repro.routing.pathcache` arena and the packet
 record stores an ``(arena_offset, length)`` view; exponential gaps and
 uniform id pairs are drawn in 8192-size blocks; uniform deterministic
 service (the standard model) runs the monotone-merge event loop, and
-per-edge deterministic service runs on the pluggable event queue
-(calendar by default). The same-seed bit-identity contract applies: the
-rushed golden cells in ``tests/golden/`` pin this engine's outputs.
+per-edge deterministic service runs on the calendar queue. The
+same-seed bit-identity contract applies: the rushed golden cells in
+``tests/golden/`` pin this engine's outputs.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from repro.sim.enginecommon import (
     resolve_saturated_mask,
     resolve_service_rates,
 )
-from repro.sim.eventqueue import CALENDAR, QUEUE_KINDS, make_event_queue
+from repro.sim.eventqueue import CalendarQueue
 from repro.sim.measurement import TimeBatchAccumulator
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
@@ -59,8 +59,8 @@ class RushedNetworkSimulation:
 
     Parameters mirror :class:`repro.sim.NetworkSimulation` (FIFO servers,
     deterministic service ``1/phi_e``; ``use_path_cache`` / ``path_cache``
-    / ``event_queue`` / ``saturated_mask`` control the hot path and the
-    optional R_s(t) tracking exactly as there).
+    / ``saturated_mask`` control the hot path and the optional R_s(t)
+    tracking exactly as there).
 
     Notes
     -----
@@ -89,14 +89,7 @@ class RushedNetworkSimulation:
         seed: int = 0,
         use_path_cache: bool = True,
         path_cache=None,
-        event_queue: str = CALENDAR,
     ) -> None:
-        if event_queue not in QUEUE_KINDS:
-            raise ValueError(
-                f"event_queue must be one of {'/'.join(QUEUE_KINDS)}, "
-                f"got {event_queue!r}"
-            )
-        self.event_queue = event_queue
         self.seed = int(seed)
         self._sat = resolve_saturated_mask(
             saturated_mask, router.topology.num_edges
@@ -363,9 +356,9 @@ class RushedNetworkSimulation:
         else:
             # ------------- event-queue loop (per-edge service) -------------
             # Per-edge deterministic service times break the monotone push
-            # order; the pluggable event queue (calendar by default)
-            # orders departures exactly like a binary heap would.
-            evq = make_event_queue(self.event_queue, width=gap_scale)
+            # order; the calendar queue orders departures exactly like a
+            # binary heap would.
+            evq = CalendarQueue(gap_scale)
             pushe = evq.push
             pope = evq.pop
             pushe((first_gap, seq, -1, None))

@@ -20,38 +20,27 @@ Implementation notes:
   lazy-work discipline as the event-driven engine;
 * paths come from the shared :mod:`repro.routing.pathcache` arena and the
   packet record stores an ``(arena_offset, length)`` view;
-* the whole Poisson batch of a slot is sampled with vectorized kernels
-  wherever that reproduces the legacy per-packet RNG draw order exactly
-  (see *RNG compatibility* below); ``run(batch_rng=True)`` — the default
-  since the engine-registry redesign closed the ROADMAP deprecation
-  window — lifts that restriction and batches everything, including the
-  per-slot Poisson counts themselves (drawn in 8192-size blocks like the
-  event engine's exponential and id blocks). ``batch_rng=False`` keeps
-  the legacy-compatible stream.
+* every random draw is batched: the per-slot Poisson counts are drawn in
+  8192-size blocks (like the event engine's exponential and id blocks),
+  and each slot's packets draw their sources, destinations and router
+  coins as whole batches (see *Draw order* below).
 
-RNG compatibility
------------------
-The compat kernel (``batch_rng=False``) is bound by the same-seed
-bit-identity contract (see :mod:`repro.sim` docs): it must consume the
-RNG exactly like the original per-packet loop. NumPy ``Generator`` array draws are stream-identical to
-the same number of consecutive scalar draws, so a slot *can* be batched
-whenever the legacy draw sequence was a run of same-kind draws:
+Draw order
+----------
+The python kernel is bound by the same-seed bit-identity contract (see
+:mod:`repro.sim` docs), so the order below is pinned by the slotted golden
+cells. Per run, Poisson slot counts come in blocks of up to 8192 slots.
+Per slot with ``k > 0`` arrivals:
 
-* uniform sources over all nodes + uniform destinations — the legacy
-  ``src, dst, src, dst, ...`` draws are all bounded integers with one
-  bound, batched as a single ``integers(0, n, 2k)`` call (the event
-  engine's fast-id discipline);
-* RNG-free destination laws (fixed permutations) — only the source draws
-  touch the RNG and they are consecutive, batched as one call.
-
-Data-dependent laws (hot-spot's conditional uniform draw, the geometric
-stopping chain, randomized routing coins interleaved with id draws) keep
-the scalar per-packet loop — still path-cached — because no batch can
-replay their interleaved stream. ``batch_rng=True`` instead *redefines*
-the draw order (Poisson count blocks, then per slot: source batch,
-``sample_batch`` destination batch, router coin batch) and is the fast
-path for those laws; it is seed-stable and pinned by its own regression
-values, but intentionally not bit-compatible with the legacy stream.
+* uniform sources over all nodes + uniform destinations + RNG-free paths
+  — one ``integers(0, n, 2k)`` call, read as ``src, dst`` pairs (the
+  event engine's fast-id discipline);
+* otherwise — one source batch (``integers`` over the sources, or one
+  ``random(k)`` through the pinned source CDF with ``side='right'``),
+  then one destination batch (``sample_batch``, or ``sample`` per source
+  for laws without it);
+* then, for RNG-consuming routers (randomized greedy, sampled
+  interners), one path batch for the slot's non-zero-hop packets.
 """
 
 from __future__ import annotations
@@ -99,13 +88,13 @@ class SlottedNetworkSimulation:
         self.seed = int(seed)
         # Kernel backend (see repro.sim.kernels): "python" is the
         # bit-identity reference loop, "numpy" the vectorized max-plus
-        # kernel (distribution parity, batch_rng=True draw order only).
+        # kernel (distribution parity with the same draw discipline).
         self.backend = check_backend(backend)
         # Shared constructor policy (sources, rates, pinned source CDF,
         # fast-id predicate, path cache). Batched id pairs need every node
         # generating at equal rate with the *identity* source order (so
-        # drawn ids are node ids) and uniform destinations — then the
-        # legacy src/dst draws are one flat run of same-bound integer
+        # drawn ids are node ids) and uniform destinations — then a
+        # slot's src/dst draws are one flat run of same-bound integer
         # draws. The event engines only need sorted order; the difference
         # is load-bearing (IDENTITY_IDS here).
         EngineCommon(
@@ -129,7 +118,6 @@ class SlottedNetworkSimulation:
         delay_batches: int = 32,
         track_maxima: bool = False,
         collect_delays: bool = False,
-        batch_rng: bool = True,
     ) -> SimResult:
         """Simulate ``warmup_slots + horizon_slots`` slots, then drain.
 
@@ -148,15 +136,6 @@ class SlottedNetworkSimulation:
         collect_delays:
             Return the raw delay of every measured packet (one float per
             packet, in completion order — zero-hop packets at generation).
-        batch_rng:
-            Use the fully batched draw order (blocked Poisson counts,
-            per-slot source/destination/coin batches). Deterministic per
-            seed and statistically identical, but *not* bit-compatible
-            with the legacy per-packet stream — see the module docstring.
-            **Default True** since the engine-registry redesign (the
-            documented behaviour change that re-pinned the slotted golden
-            cells); pass ``batch_rng=False`` for the legacy stream, which
-            stays pinned by its own ``*_compat`` golden cells.
         """
         if warmup_slots < 0 or horizon_slots <= 0:
             raise ValueError("need warmup_slots >= 0 and horizon_slots > 0")
@@ -167,5 +146,4 @@ class SlottedNetworkSimulation:
             delay_batches=delay_batches,
             track_maxima=track_maxima,
             collect_delays=collect_delays,
-            batch_rng=batch_rng,
         )

@@ -38,3 +38,23 @@ class BoundaryRNG:
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
+
+
+class BatchBoundaryRNG:
+    """Wrap a Generator so the first *batched* ``random(m)`` call returns
+    0.0 in its first element — the measure-zero CDF-boundary draw that
+    the reference loops guard with ``side='right'``."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self._first = True
+
+    def random(self, *args, **kwargs):
+        out = self._inner.random(*args, **kwargs)
+        if self._first and args and np.ndim(out) == 1 and len(out):
+            self._first = False
+            out[0] = 0.0
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)

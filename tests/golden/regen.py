@@ -155,15 +155,14 @@ def build_cases() -> dict:
 
     def slotted(name, router, dests, rate, seed, *, warmup_slots=10,
                 horizon_slots=150, tau=1.0, saturated_mask=None,
-                batch_rng=None, track_maxima=False):
+                track_maxima=False):
         def run():
             sim = SlottedNetworkSimulation(
                 router, dests, rate, tau=tau, seed=seed,
                 saturated_mask=saturated_mask,
             )
-            kw = {} if batch_rng is None else {"batch_rng": batch_rng}
             return sim.run(
-                warmup_slots, horizon_slots, track_maxima=track_maxima, **kw
+                warmup_slots, horizon_slots, track_maxima=track_maxima
             )
         _capture(cases, name, run)
 
@@ -187,12 +186,10 @@ def build_cases() -> dict:
     event("event_geometric", GreedyArrayRouter(m4),
           GeometricStopDestinations(m4, stop=0.5), 0.20, 16)
 
-    # The default slotted cells follow the engine default draw order —
-    # batch_rng=True since the registry redesign flipped it (the one
-    # documented re-pin in that PR). The *_compat cells pin the legacy
-    # per-packet-compatible stream (batch_rng=False) on the three kernel
-    # shapes: fast-id pairs, scalar data-dependent law, RNG-consuming
-    # randomized cache. Their values are the pre-flip fixtures verbatim.
+    # The slotted cells pin the batched slot draw order on its three
+    # kernel shapes: fast-id pairs (uniform), a source batch plus a
+    # data-dependent destination batch (hotspot, geometric), and an
+    # RNG-consuming randomized path batch.
     slotted("slotted_uniform", GreedyArrayRouter(m5),
             UniformDestinations(25), 0.10, 11)
     slotted("slotted_hotspot", GreedyArrayRouter(m5),
@@ -203,13 +200,6 @@ def build_cases() -> dict:
             GeometricStopDestinations(m4, stop=0.5), 0.15, 15)
     slotted("slotted_randomized", RandomizedGreedyArrayRouter(m5),
             UniformDestinations(25), 0.09, 17)
-    slotted("slotted_uniform_compat", GreedyArrayRouter(m5),
-            UniformDestinations(25), 0.10, 11, batch_rng=False)
-    slotted("slotted_hotspot_compat", GreedyArrayRouter(m5),
-            HotSpotDestinations(25, hot_node=12, h=0.3), 0.07, 12,
-            batch_rng=False)
-    slotted("slotted_randomized_compat", RandomizedGreedyArrayRouter(m5),
-            UniformDestinations(25), 0.09, 17, batch_rng=False)
 
     # The PR-3-ported engines: rushed (Theorem 10 copies) on both of its
     # loops — monotone merge (uniform service) and the event queue
@@ -290,9 +280,10 @@ def build_cases() -> dict:
     # registry -> ReplicationEngine). api_rushed_uniform / api_ps_hotspot
     # use the exact constructor arguments of rushed_uniform / ps_hotspot,
     # so the facade path is pinned to be bit-identical to the direct
-    # path (asserted by test_api_cells_match_direct_cells); the slotted
-    # API cell additionally pins an engine_params knob flowing through
-    # the registry (the batch_rng opt-out).
+    # path (asserted by test_api_cells_match_direct_cells), as do
+    # api_fifo_uniform, api_slotted_uniform and api_finite_hotspot_k1;
+    # the finite cell also pins an engine_params knob flowing through
+    # the registry.
     from repro.sim.replication import CellSpec, ReplicationEngine
 
     def api_cell(name, engine, *, scenario, n, node_rate, seed,
@@ -319,9 +310,6 @@ def build_cases() -> dict:
              params=(("h", 0.3), ("hot_node", 5)))
     api_cell("api_slotted_uniform", "slotted", scenario="uniform",
              n=5, node_rate=0.10, seed=11, warmup=10.0)
-    api_cell("api_slotted_uniform_compat", "slotted", scenario="uniform",
-             n=5, node_rate=0.10, seed=11, warmup=10.0,
-             engine_params=(("batch_rng", False),))
     # The finite engine reached through the facade, pinned bit-identical
     # to the hand-built finite_hotspot_k1 cell (same constructor args).
     api_cell("api_finite_hotspot_k1", "finite", scenario="hotspot", n=5,

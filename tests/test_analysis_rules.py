@@ -270,7 +270,8 @@ def test_tampered_engine_param_flagged(monkeypatch):
 
     fifo = registry.get_engine("fifo")
     bogus = registry.EngineParam(
-        name="no_such_knob", kind=registry.BOOL, default=False, doc="bogus"
+        name="no_such_knob", kind=registry.CHOICE, default="x", doc="bogus",
+        choices=("x",),
     )
     tampered = dataclasses.replace(fifo, params=fifo.params + (bogus,))
     monkeypatch.setitem(registry._REGISTRY, "fifo", tampered)

@@ -115,7 +115,8 @@ class TestCommands:
         for name in ("fifo", "finite", "slotted", "rushed", "ps"):
             assert name in out
         assert "event" in out  # the alias is listed
-        assert "batch_rng" in out and "event_queue" in out
+        assert "service_rates" in out and "backend" in out
+        assert "batch_rng" not in out and "event_queue" not in out
         assert "buffer_size" in out  # the finite engine's knob
         assert "finite.buffer_size" in out  # per-engine param details
         assert "deterministic/exponential" in out
@@ -180,7 +181,7 @@ class TestCommands:
                 "--rho",
                 "0.5",
                 "--engine-param",
-                "batch_rng=false",
+                "backend=python",
                 "--processes",
                 "1",
                 "--warmup",
@@ -240,7 +241,7 @@ class TestCommands:
         msg = str(exc_info.value)
         assert "turbo" in msg
         assert "'fifo'" in msg
-        assert "event_queue" in msg and "service_rates" in msg
+        assert "service_rates" in msg and "backend" in msg
         # fifo has no buffer_size: the listing is engine-specific.
         assert "buffer_size" not in msg
 

@@ -48,13 +48,30 @@ class TestSpecLoading:
         path.write_text(
             "scenario,n,rho,seeds,warmup,horizon,engine_params\n"
             "uniform,4,0.4,0;1,20,120,\n"
-            "uniform,4,0.7,2,20,120,event_queue=heap\n"
+            "uniform,4,0.7,2,20,120,backend=numpy\n"
         )
         specs = load_sweep_spec(path)
         assert len(specs) == 2
         assert specs[0].seeds == (0, 1)
         assert specs[1].seeds == (2,)
-        assert specs[1].engine_params_dict == {"event_queue": "heap"}
+        assert specs[1].engine_params_dict == {"backend": "numpy"}
+
+    def test_retired_engine_param_fails_before_any_cell_runs(self, tmp_path):
+        """A stale row naming the retired event_queue knob aborts the
+        whole sweep at load time: no cell of the spec is run."""
+        path = tmp_path / "spec.csv"
+        path.write_text(
+            "scenario,n,rho,seeds,warmup,horizon,engine_params\n"
+            "uniform,4,0.4,0;1,20,120,\n"
+            "uniform,4,0.7,2,20,120,event_queue=heap\n"
+        )
+        ran = []
+        with pytest.raises(ValueError, match="event_queue") as exc_info:
+            run_sweep(path, tmp_path / "out", processes=1,
+                      on_cell_complete=ran.append)
+        assert "service_rates" in str(exc_info.value)
+        assert ran == []
+        assert not (tmp_path / "out").exists()
 
     def test_empty_spec_rejected(self, tmp_path):
         path = tmp_path / "spec.json"

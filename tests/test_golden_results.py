@@ -74,8 +74,7 @@ def test_fixture_covers_all_five_engines(golden):
     """The acceptance scenarios are pinned for every engine, including
     the PR-3-ported rushed and PS simulators, the finite-buffer loss
     engine (both the buffer_size=None fifo-identity cells and nonzero
-    drop cells), the legacy slotted draw order (batch_rng=False, the
-    *_compat cells) and the declarative facade path (the api_* cells)."""
+    drop cells) and the declarative facade path (the api_* cells)."""
     names = set(golden)
     for required in (
         "event_uniform_det",
@@ -83,9 +82,6 @@ def test_fixture_covers_all_five_engines(golden):
         "slotted_uniform",
         "slotted_hotspot",
         "slotted_maxima",
-        "slotted_uniform_compat",
-        "slotted_hotspot_compat",
-        "slotted_randomized_compat",
         "rushed_uniform",
         "rushed_peredge_service",
         "rushed_sat_maxima",
@@ -102,7 +98,6 @@ def test_fixture_covers_all_five_engines(golden):
         "api_rushed_uniform",
         "api_ps_hotspot",
         "api_slotted_uniform",
-        "api_slotted_uniform_compat",
         "api_finite_hotspot_k1",
     ):
         assert required in names
@@ -117,7 +112,6 @@ def test_api_cells_match_direct_cells(golden):
         ("api_rushed_uniform", "rushed_uniform"),
         ("api_ps_hotspot", "ps_hotspot"),
         ("api_slotted_uniform", "slotted_uniform"),
-        ("api_slotted_uniform_compat", "slotted_uniform_compat"),
         ("api_finite_hotspot_k1", "finite_hotspot_k1"),
     ):
         assert golden[api] == golden[direct], (api, direct)
@@ -236,32 +230,6 @@ def test_shared_cache_state_does_not_leak_into_results():
     assert warm_s.mean_number == cold_s.mean_number
 
 
-def test_calendar_queue_matches_heap_queue_exactly():
-    """The calendar queue is a pure data-structure swap for the heap in
-    the stochastic-service loop: identical pop order, identical outputs."""
-    from repro.routing.destinations import UniformDestinations
-    from repro.routing.greedy import GreedyArrayRouter
-    from repro.sim.fifo_network import NetworkSimulation
-    from repro.topology.array_mesh import ArrayMesh
-
-    mesh = ArrayMesh(4)
-    router = GreedyArrayRouter(mesh)
-    dests = UniformDestinations(16)
-    runs = [
-        NetworkSimulation(
-            router, dests, 0.25, service="exponential", seed=19, event_queue=kind
-        ).run(10, 150, track_maxima=True, collect_delays=True)
-        for kind in ("calendar", "heap")
-    ]
-    cal, heap = runs
-    assert cal.mean_number == heap.mean_number
-    assert cal.mean_remaining == heap.mean_remaining
-    assert cal.mean_delay == heap.mean_delay
-    assert cal.max_delay == heap.max_delay
-    assert cal.max_queue_length == heap.max_queue_length
-    assert cal.delays.tolist() == heap.delays.tolist()
-
-
 def test_rushed_merge_loop_matches_event_queue_loop_exactly():
     """The rushed engine's monotone-merge loop replays the event-queue
     loop's (time, seq) order exactly (same contract as the FIFO engine)."""
@@ -278,19 +246,14 @@ def test_rushed_merge_loop_matches_event_queue_loop_exactly():
     assert merge._uniform_service
     res_merge = merge.run(10, 150)
 
-    results = []
-    for kind in ("calendar", "heap"):
-        forced = RushedNetworkSimulation(
-            router, dests, 0.25, seed=11, event_queue=kind
-        )
-        forced._uniform_service = False  # force the event-queue loop
-        results.append(forced.run(10, 150))
+    forced = RushedNetworkSimulation(router, dests, 0.25, seed=11)
+    forced._uniform_service = False  # force the event-queue loop
+    res = forced.run(10, 150)
 
-    for res in results:
-        assert res_merge.mean_number == res.mean_number
-        assert res_merge.mean_delay == res.mean_delay
-        assert res_merge.delay_half_width == res.delay_half_width
-        assert res_merge.utilization.tolist() == res.utilization.tolist()
+    assert res_merge.mean_number == res.mean_number
+    assert res_merge.mean_delay == res.mean_delay
+    assert res_merge.delay_half_width == res.delay_half_width
+    assert res_merge.utilization.tolist() == res.utilization.tolist()
 
 
 def test_merge_loop_matches_heap_loop_exactly():

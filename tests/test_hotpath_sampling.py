@@ -95,7 +95,6 @@ def test_unflagged_laws_declare_themselves(name):
 
 def test_permutation_batch_consumes_no_rng():
     law = LAWS["transpose"]
-    assert law.consumes_rng is False
     a = np.random.default_rng(3)
     before = a.bit_generator.state["state"]["state"]
     law.sample_batch(np.arange(25), a)

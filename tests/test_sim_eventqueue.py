@@ -10,13 +10,7 @@ import random
 
 import pytest
 
-from repro.sim.eventqueue import (
-    CALENDAR,
-    HEAP,
-    CalendarQueue,
-    HeapEventQueue,
-    make_event_queue,
-)
+from repro.sim.eventqueue import CalendarQueue, HeapEventQueue
 
 
 def _random_workload(rng, width, steps=400):
@@ -162,15 +156,7 @@ class TestAdaptiveWidths:
         assert len(cq) == 0
 
 
-class TestMakeEventQueue:
-    def test_dispatch(self):
-        assert isinstance(make_event_queue(CALENDAR, width=1.0), CalendarQueue)
-        assert isinstance(make_event_queue(HEAP, width=1.0), HeapEventQueue)
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError):
-            make_event_queue("splay", width=1.0)
-
+class TestHeapEventQueue:
     def test_heap_adapter_matches_heapq(self):
         q = HeapEventQueue()
         items = [(3.0, 0), (1.0, 1), (2.0, 2)]

@@ -152,22 +152,6 @@ class TestFifoIdentity:
             _router(routing, router4), uniform4, 5, tracking, **kw
         )
 
-    def test_event_queue_kinds_agree_with_drops(self, router4, uniform4):
-        """The calendar queue and the heap produce the same trajectory
-        even when packets drop."""
-        runs = [
-            FiniteBufferNetworkSimulation(
-                router4, uniform4, 0.3, seed=7, buffer_size=1,
-                service="exponential", event_queue=kind,
-            ).run(10, 150, collect_delays=True)
-            for kind in ("calendar", "heap")
-        ]
-        for other in runs[1:]:
-            assert runs[0].dropped == other.dropped
-            assert runs[0].node_drops.tolist() == other.node_drops.tolist()
-            assert runs[0].delays.tolist() == other.delays.tolist()
-            assert runs[0].mean_number == other.mean_number
-
 
 class TestDropAccounting:
     def test_conservation_and_nonzero_loss(self, router4, uniform4):

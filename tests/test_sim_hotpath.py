@@ -7,12 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.routing.destinations import (
-    GeometricStopDestinations,
-    HotSpotDestinations,
-    PermutationDestinations,
-    UniformDestinations,
-)
+from repro.routing.destinations import HotSpotDestinations, UniformDestinations
 from repro.routing.greedy import GreedyArrayRouter
 from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
 from repro.sim.fifo_network import NetworkSimulation
@@ -135,8 +130,8 @@ class TestSlottedOptionParity:
         assert len(res.delays) == res.completed == res.generated
 
 
-class TestSlottedBatchRng:
-    """Satellite: blocked Poisson draws + fully batched slot kernel."""
+class TestSlottedBatchedDraws:
+    """Blocked Poisson draws + fully batched slot kernel."""
 
     def _mk(self, dests, seed=11, rate=0.3, n=4, router=None):
         mesh = ArrayMesh(n)
@@ -145,52 +140,18 @@ class TestSlottedBatchRng:
         )
 
     def test_seed_stable(self):
-        a = self._mk(UniformDestinations(16)).run(10, 300, batch_rng=True)
-        b = self._mk(UniformDestinations(16)).run(10, 300, batch_rng=True)
+        a = self._mk(UniformDestinations(16)).run(10, 300)
+        b = self._mk(UniformDestinations(16)).run(10, 300)
         assert a.mean_delay == b.mean_delay
         assert a.mean_number == b.mean_number
         assert a.generated == b.generated
 
-    @pytest.mark.parametrize(
-        "dests_factory",
-        [
-            lambda: UniformDestinations(36),
-            lambda: HotSpotDestinations(36, hot_node=7, h=0.3),
-            lambda: GeometricStopDestinations(ArrayMesh(6), stop=0.5),
-            lambda: PermutationDestinations.transpose(ArrayMesh(6)),
-        ],
-    )
-    def test_statistically_consistent_with_compat_kernel(self, dests_factory):
-        """Same law, same load: the two draw orders must estimate the same
-        system (they are different samplings of one distribution)."""
-        mesh = ArrayMesh(6)
-        router = GreedyArrayRouter(mesh)
-        compat = SlottedNetworkSimulation(
-            router, dests_factory(), 0.2, seed=1
-        ).run(50, 1500, batch_rng=False)
-        batch = SlottedNetworkSimulation(
-            router, dests_factory(), 0.2, seed=2
-        ).run(50, 1500, batch_rng=True)
-        tol = 0.35 + 3.0 * (compat.delay_half_width + batch.delay_half_width)
-        assert abs(compat.mean_delay - batch.mean_delay) < tol
-        assert batch.completed > 0 and batch.generated > 0
-
     def test_randomized_router_coins_batched(self):
         mesh = ArrayMesh(4)
         router = RandomizedGreedyArrayRouter(mesh)
-        res = self._mk(UniformDestinations(16), router=router).run(
-            20, 400, batch_rng=True
-        )
+        res = self._mk(UniformDestinations(16), router=router).run(20, 400)
         assert res.completed > 0
         assert res.littles_law_gap < 0.25
-
-    def test_batch_and_compat_agree_when_stream_compatible(self):
-        """For the uniform fast path the id pairs are drawn identically in
-        both modes; only the Poisson count blocking differs, so generated
-        counts stay close but trajectories legitimately diverge."""
-        a = self._mk(UniformDestinations(16)).run(10, 500, batch_rng=False)
-        b = self._mk(UniformDestinations(16)).run(10, 500, batch_rng=True)
-        assert a.generated == pytest.approx(b.generated, rel=0.1)
 
 
 class TestReplicationCacheSharing:

@@ -34,7 +34,6 @@ from repro.sim.kernels import (
     get_kernel,
     numpy_available,
 )
-from repro.sim.ps_network import PSNetworkSimulation
 from repro.sim.replication import CellSpec, replicate
 from repro.sim.registry import get_engine
 from repro.sim.slotted import SlottedNetworkSimulation
@@ -42,7 +41,7 @@ from repro.topology.array_mesh import ArrayMesh
 from repro.topology.linear import LinearArray
 from repro.topology.torus import Torus
 
-from _helpers import AlwaysNodeZero
+from _helpers import AlwaysNodeZero, BatchBoundaryRNG
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -127,10 +126,6 @@ class TestNumpyBackendRejections:
         with pytest.raises(ValueError, match="backend='python'"):
             self._slotted().run(0, 50, track_maxima=True)
 
-    def test_slotted_rejects_compat_rng(self):
-        with pytest.raises(ValueError, match="batch_rng"):
-            self._slotted().run(0, 50, batch_rng=False)
-
     def test_finite_rejects_numpy_with_caps(self):
         mesh = ArrayMesh(4)
         with pytest.raises(ValueError, match="finite buffers"):
@@ -205,8 +200,7 @@ class TestSeedStability:
 
 class TestDistributionParity:
     """Same law, same load: the two backends must estimate the same
-    system (they are different samplings of one distribution). Same
-    tolerance discipline as the slotted batch_rng parity tests."""
+    system (they are different samplings of one distribution)."""
 
     @pytest.mark.parametrize(
         "dests_factory",
@@ -324,26 +318,6 @@ class TestRandomizedRouterParity:
 
 # ----------------------------------------------------------------------
 # Batched boundary draws (the side='right' contract, batch edition).
-
-
-class BatchBoundaryRNG:
-    """Wrap a Generator so the first *batched* ``random(m)`` call returns
-    0.0 in its first element — the measure-zero CDF-boundary draw that
-    the reference loops guard with ``side='right'``."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self._first = True
-
-    def random(self, *args, **kwargs):
-        out = self._inner.random(*args, **kwargs)
-        if self._first and args and np.ndim(out) == 1 and len(out):
-            self._first = False
-            out[0] = 0.0
-        return out
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
 
 
 def _two_node_router():
@@ -627,52 +601,3 @@ class TestRegistryBackendParam:
         pooled = replicate(spec, processes=1)
         assert all(r.completed > 0 for r in pooled.replications)
 
-    def test_slotted_cell_splits_constructor_and_run_params(self):
-        spec = CellSpec(
-            scenario="uniform",
-            n=4,
-            node_rate=0.3,
-            engine="slotted",
-            warmup=10,
-            horizon=150,
-            seeds=(0,),
-            engine_params=(("backend", "python"), ("batch_rng", False)),
-        )
-        pooled = replicate(spec, processes=1)
-        assert pooled.replications[0].completed > 0
-
-
-class TestPSEventQueue:
-    def _spec(self, **ep):
-        return CellSpec(
-            scenario="uniform",
-            n=4,
-            node_rate=0.3,
-            engine="ps",
-            warmup=10,
-            horizon=200,
-            seeds=(0,),
-            engine_params=tuple(sorted(ep.items())),
-        )
-
-    def test_all_queue_kinds_are_bit_identical(self):
-        results = [
-            replicate(self._spec(event_queue=kind), processes=1)
-            for kind in ("calendar", "heap")
-        ]
-        base = results[0].replications[0]
-        for pooled in results[1:]:
-            rep = pooled.replications[0]
-            assert rep.mean_delay == base.mean_delay
-            assert rep.mean_number == base.mean_number
-            assert rep.generated == base.generated
-
-    def test_constructor_validates_kind(self):
-        mesh = ArrayMesh(4)
-        with pytest.raises(ValueError, match="event_queue"):
-            PSNetworkSimulation(
-                GreedyArrayRouter(mesh),
-                UniformDestinations(16),
-                0.2,
-                event_queue="fibonacci",
-            )

@@ -18,7 +18,7 @@ from repro.sim.slotted import SlottedNetworkSimulation
 from repro.topology.array_mesh import ArrayMesh
 from repro.topology.linear import LinearArray
 
-from _helpers import AlwaysNodeZero, BoundaryRNG
+from _helpers import AlwaysNodeZero, BatchBoundaryRNG, BoundaryRNG
 
 
 class AcrossOnly:
@@ -316,16 +316,6 @@ class TestEngineParityValidation:
                 path_cache=other,
             )
 
-    def test_rushed_rejects_bad_event_queue(self):
-        mesh = ArrayMesh(3)
-        with pytest.raises(ValueError):
-            RushedNetworkSimulation(
-                GreedyArrayRouter(mesh),
-                UniformDestinations(9),
-                0.2,
-                event_queue="splay",
-            )
-
 
 class TestSlottedSimulator:
     def test_single_queue_near_md1(self):
@@ -397,20 +387,19 @@ class TestSlottedSimulator:
     def test_zero_rate_source_never_generates(self, monkeypatch):
         """node_rate=[0.0, 1.0] regression for the side='left' source draw.
 
-        Forces the first source draw to land exactly on the CDF boundary
-        u = 0.0 (a measure-zero event left to chance), which the old
-        ``side='left'`` search resolved to the zero-rate source.
+        Forces the first slot's source batch to start exactly on the CDF
+        boundary u = 0.0 (a measure-zero event left to chance), which a
+        ``side='left'`` search resolves to the zero-rate source.
         """
         real = np.random.default_rng
         monkeypatch.setattr(
-            np.random, "default_rng", lambda seed=None: BoundaryRNG(real(seed))
+            np.random,
+            "default_rng",
+            lambda seed=None: BatchBoundaryRNG(real(seed)),
         )
-        # batch_rng=False: the scalar per-packet draw is the path the old
-        # bug lived on (the batched draw's boundary safety is covered by
-        # the EngineCommon policy tests).
         res = SlottedNetworkSimulation(
             two_node_router(), AlwaysNodeZero(), [0.0, 1.0], seed=37
-        ).run(0, 400, batch_rng=False)
+        ).run(0, 400)
         # Every packet goes to node 0, so one born at the (zero-rate)
         # source 0 would be counted in zero_hop.
         assert res.generated > 0

@@ -197,16 +197,16 @@ class TestRegistryLookup:
 
     def test_param_validation(self):
         fifo = get_engine("fifo")
-        fifo.validate_params({"event_queue": "heap", "service_rates": 2.0})
+        fifo.validate_params({"backend": "numpy", "service_rates": 2.0})
         fifo.validate_params({"service_rates": (1.0, 2.0)})
         with pytest.raises(ValueError):
-            fifo.validate_params({"event_queue": "splay"})
+            fifo.validate_params({"backend": "mlx"})
         with pytest.raises(ValueError):
             fifo.validate_params({"turbo": True})
-        slotted = get_engine("slotted")
-        slotted.validate_params({"batch_rng": False})
+        finite = get_engine("finite")
+        finite.validate_params({"buffer_size": 0})
         with pytest.raises(ValueError):
-            slotted.validate_params({"batch_rng": "yes"})
+            finite.validate_params({"buffer_size": "yes"})
 
 
 class TestSpecEngineParams:
@@ -216,14 +216,35 @@ class TestSpecEngineParams:
 
     def test_ill_typed_engine_param_raises_at_spec_time(self):
         with pytest.raises(ValueError):
-            CellSpec(rho=0.5, engine="slotted",
-                     engine_params=(("batch_rng", "yes"),))
+            CellSpec(rho=0.5, engine="finite",
+                     engine_params=(("buffer_size", "yes"),))
+
+    @pytest.mark.parametrize("engine, param, value", [
+        ("fifo", "event_queue", "heap"),
+        ("finite", "event_queue", "heap"),
+        ("rushed", "event_queue", "heap"),
+        ("ps", "event_queue", "heap"),
+        ("slotted", "batch_rng", False),
+    ])
+    def test_retired_engine_param_raises_at_spec_time(
+        self, engine, param, value
+    ):
+        """Specs written for the retired event_queue / batch_rng knobs fail
+        at construction, naming the param and listing the valid ones."""
+        with pytest.raises(ValueError) as exc_info:
+            CellSpec(node_rate=0.1, engine=engine,
+                     engine_params=((param, value),))
+        msg = str(exc_info.value)
+        assert repr(param) in msg
+        assert "valid params" in msg
+        for valid in get_engine(engine).params:
+            assert valid.name in msg
 
     def test_duplicate_engine_params_rejected(self):
         with pytest.raises(ValueError):
             CellSpec(rho=0.5, engine="fifo",
-                     engine_params=(("event_queue", "heap"),
-                                    ("event_queue", "calendar")))
+                     engine_params=(("service_rates", 1.0),
+                                    ("service_rates", 2.0)))
 
     def test_engine_canonicalised(self):
         assert CellSpec(rho=0.5, engine="event").engine == "fifo"
@@ -263,11 +284,11 @@ class TestSpecEngineParams:
 
     def test_with_engine_params_merges(self):
         spec = CellSpec(node_rate=0.2, engine="fifo",
-                        engine_params=(("event_queue", "heap"),))
+                        engine_params=(("backend", "numpy"),))
         spec2 = spec.with_engine_params(service_rates=2.0)
         assert spec2.engine_params_dict == {
-            "event_queue": "heap", "service_rates": 2.0}
-        assert spec.engine_params_dict == {"event_queue": "heap"}
+            "backend": "numpy", "service_rates": 2.0}
+        assert spec.engine_params_dict == {"backend": "numpy"}
 
 
 class TestRegistryRoundTrip:
@@ -288,23 +309,25 @@ class TestRegistryRoundTrip:
         assert [r.seed for r in pooled.replications] == [1, 2]
 
     def test_engine_params_flow_through_run(self):
-        """event_queue=heap must be bit-identical to the calendar default,
-        and the slotted batch_rng opt-out must change the draw stream."""
-        base = dict(scenario="uniform", n=4, rho=0.5, service="exponential",
-                    warmup=20, horizon=200, seeds=(3,))
-        cal = ReplicationEngine(processes=1).run(CellSpec(**base))
-        heap = ReplicationEngine(processes=1).run(
-            CellSpec(**base, engine_params=(("event_queue", "heap"),))
+        """Engine params reach the simulator: doubled fifo service rates
+        shorten the delay, and the slotted backend knob switches to the
+        numpy kernel (a different draw stream)."""
+        base = dict(scenario="uniform", n=4, node_rate=0.1,
+                    service="exponential", warmup=20, horizon=200,
+                    seeds=(3,))
+        unit = ReplicationEngine(processes=1).run(CellSpec(**base))
+        fast = ReplicationEngine(processes=1).run(
+            CellSpec(**base, engine_params=(("service_rates", 2.0),))
         )
-        assert cal.mean_delay == heap.mean_delay
+        assert fast.mean_delay < unit.mean_delay
         s = dict(scenario="uniform", n=4, rho=0.5, engine="slotted",
                  warmup=20, horizon=200, seeds=(3,))
-        batch = ReplicationEngine(processes=1).run(CellSpec(**s))
-        compat = ReplicationEngine(processes=1).run(
-            CellSpec(**s, engine_params=(("batch_rng", False),))
+        python = ReplicationEngine(processes=1).run(CellSpec(**s))
+        numpy = ReplicationEngine(processes=1).run(
+            CellSpec(**s, engine_params=(("backend", "numpy"),))
         )
-        assert batch.generated != compat.generated or (
-            batch.mean_delay != compat.mean_delay
+        assert python.generated != numpy.generated or (
+            python.mean_delay != numpy.mean_delay
         )
 
     def test_mixed_engine_batch_does_not_cross_engines(self):
