@@ -22,12 +22,11 @@ re-planned (truly stochastic event times), this engine needs a priority
 queue — the merge loop does not apply — and that queue is the
 :mod:`repro.sim.eventqueue` calendar queue the FIFO/rushed/finite
 stochastic loops use (it pops the exact ``(time, seq)`` order of a
-binary heap, so the PS golden cells pin the calendar loop exactly as
-they pinned the heap). It shares the rest of the hot-path
-architecture: paths come from the shared :mod:`repro.routing.pathcache`
-arena, packet records store ``(arena_offset, length)`` views, and the
-source draw uses the pinned CDF with ``side='right'`` so a boundary draw
-can never select a zero-rate source. The per-packet RNG draw order is
+binary heap). It shares the rest of the hot-path architecture: paths
+come from the shared :mod:`repro.routing.pathcache` arena, packet records
+store ``(arena_offset, length)`` views, and the source draw uses the
+pinned CDF with ``side='right'`` so a boundary draw can never select a
+zero-rate source. The per-packet RNG draw order is
 unchanged from the pre-cache engine, and the PS golden cells in
 ``tests/golden/`` pin the outputs.
 """
