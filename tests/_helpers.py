@@ -58,3 +58,23 @@ class BatchBoundaryRNG:
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
+
+
+def patch_heap_event_queue(monkeypatch, module):
+    """Make ``module`` build the ``heapq`` adapter wherever it builds a
+    ``CalendarQueue``, so one engine loop can be run on both queues.
+
+    Returns the list of queues built under the patch; a non-empty list
+    proves the run went through the event-queue loop at all.
+    """
+    from repro.sim.eventqueue import HeapEventQueue
+
+    built = []
+
+    def make(width):
+        queue = HeapEventQueue()
+        built.append(queue)
+        return queue
+
+    monkeypatch.setattr(module, "CalendarQueue", make)
+    return built

@@ -245,6 +245,40 @@ class TestCommands:
         # fifo has no buffer_size: the listing is engine-specific.
         assert "buffer_size" not in msg
 
+    @pytest.mark.parametrize(
+        "engine,param,valid",
+        [
+            ("fifo", "event_queue=heap", "service_rates"),
+            ("slotted", "batch_rng=false", "backend"),
+        ],
+    )
+    def test_simulate_retired_engine_param_exits_with_listing(
+        self, engine, param, valid
+    ):
+        """The retired queue-selector and slot-stream knobs are unknown
+        keys now: the run aborts before simulating and names what is
+        valid for the chosen engine."""
+        with pytest.raises(SystemExit) as exc_info:
+            main(
+                [
+                    "simulate",
+                    "-n",
+                    "4",
+                    "--rho",
+                    "0.5",
+                    "--engine",
+                    engine,
+                    "--engine-param",
+                    param,
+                    "--processes",
+                    "1",
+                ]
+            )
+        msg = str(exc_info.value)
+        assert param.split("=")[0] in msg
+        assert f"'{engine}'" in msg
+        assert valid in msg
+
     def test_simulate_engine_param_listing_is_per_engine(self):
         with pytest.raises(SystemExit) as exc_info:
             main(

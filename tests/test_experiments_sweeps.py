@@ -73,6 +73,29 @@ class TestSpecLoading:
         assert ran == []
         assert not (tmp_path / "out").exists()
 
+    def test_retired_slotted_batch_rng_fails_before_any_cell_runs(
+        self, tmp_path
+    ):
+        """The retired slotted stream selector is rejected the same way,
+        naming the slotted engine's valid params."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "defaults": {"warmup": 20, "horizon": 120, "seeds": [0]},
+            "cells": [
+                {"scenario": "uniform", "n": 4, "rho": 0.4,
+                 "engine": "slotted"},
+                {"scenario": "uniform", "n": 4, "rho": 0.4,
+                 "engine": "slotted", "engine_params": {"batch_rng": False}},
+            ],
+        }))
+        ran = []
+        with pytest.raises(ValueError, match="batch_rng") as exc_info:
+            run_sweep(path, tmp_path / "out", processes=1,
+                      on_cell_complete=ran.append)
+        assert "backend" in str(exc_info.value)
+        assert ran == []
+        assert not (tmp_path / "out").exists()
+
     def test_empty_spec_rejected(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text("{}")

@@ -230,6 +230,39 @@ def test_shared_cache_state_does_not_leak_into_results():
     assert warm_s.mean_number == cold_s.mean_number
 
 
+def test_calendar_queue_matches_heap_queue_exactly(monkeypatch):
+    """The calendar queue is a pure data-structure swap for the heap in
+    the stochastic-service loop: identical pop order, identical outputs."""
+    from repro.routing.destinations import UniformDestinations
+    from repro.routing.greedy import GreedyArrayRouter
+    from repro.sim.fifo_network import NetworkSimulation
+    from repro.sim.kernels import python_backend
+    from repro.topology.array_mesh import ArrayMesh
+
+    from _helpers import patch_heap_event_queue
+
+    mesh = ArrayMesh(4)
+    router = GreedyArrayRouter(mesh)
+    dests = UniformDestinations(16)
+
+    def run():
+        return NetworkSimulation(
+            router, dests, 0.25, service="exponential", seed=19
+        ).run(10, 150, track_maxima=True, collect_delays=True)
+
+    cal = run()
+    with monkeypatch.context() as m:
+        built = patch_heap_event_queue(m, python_backend)
+        heap = run()
+    assert built
+    assert cal.mean_number == heap.mean_number
+    assert cal.mean_remaining == heap.mean_remaining
+    assert cal.mean_delay == heap.mean_delay
+    assert cal.max_delay == heap.max_delay
+    assert cal.max_queue_length == heap.max_queue_length
+    assert cal.delays.tolist() == heap.delays.tolist()
+
+
 def test_rushed_merge_loop_matches_event_queue_loop_exactly():
     """The rushed engine's monotone-merge loop replays the event-queue
     loop's (time, seq) order exactly (same contract as the FIFO engine)."""

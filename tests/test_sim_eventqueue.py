@@ -165,3 +165,21 @@ class TestHeapEventQueue:
         assert len(q) == 3 and q
         assert [q.pop() for _ in items] == sorted(items)
         assert not q
+
+    def test_len_tracks_interleaved_pushes_and_pops(self):
+        q = HeapEventQueue()
+        q.push((2.0, 0))
+        q.push((1.0, 1))
+        assert len(q) == 2
+        assert q.pop() == (1.0, 1)
+        q.push((0.5, 2))
+        assert len(q) == 2
+        assert q.pop() == (0.5, 2)
+        assert q.pop() == (2.0, 0)
+        assert len(q) == 0
+
+    def test_pop_empty_raises_like_calendar(self):
+        """Both queues signal exhaustion the same way."""
+        for q in (HeapEventQueue(), CalendarQueue(1.0)):
+            with pytest.raises(IndexError):
+                q.pop()

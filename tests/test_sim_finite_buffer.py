@@ -28,8 +28,11 @@ from repro.sim.finite_buffer import (
     FiniteBufferNetworkSimulation,
     resolve_buffer_size,
 )
+from repro.sim.kernels import python_backend
 from repro.sim.replication import CellSpec, ReplicationEngine
 from repro.topology.array_mesh import ArrayMesh
+
+from _helpers import patch_heap_event_queue
 
 HUGE = 10**9
 
@@ -151,6 +154,29 @@ class TestFifoIdentity:
         _assert_huge_buffer_matches_fifo(
             _router(routing, router4), uniform4, 5, tracking, **kw
         )
+
+    def test_event_queue_kinds_agree_with_drops(
+        self, router4, uniform4, monkeypatch
+    ):
+        """The calendar queue and the heap produce the same trajectory
+        even when packets drop."""
+
+        def run():
+            return FiniteBufferNetworkSimulation(
+                router4, uniform4, 0.3, seed=7, buffer_size=1,
+                service="exponential",
+            ).run(10, 150, collect_delays=True)
+
+        cal = run()
+        with monkeypatch.context() as m:
+            built = patch_heap_event_queue(m, python_backend)
+            heap = run()
+        assert built
+        assert cal.dropped > 0
+        assert cal.dropped == heap.dropped
+        assert cal.node_drops.tolist() == heap.node_drops.tolist()
+        assert cal.delays.tolist() == heap.delays.tolist()
+        assert cal.mean_number == heap.mean_number
 
 
 class TestDropAccounting:

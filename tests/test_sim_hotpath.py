@@ -7,7 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.routing.destinations import HotSpotDestinations, UniformDestinations
+from repro.routing.destinations import (
+    GeometricStopDestinations,
+    HotSpotDestinations,
+    PermutationDestinations,
+    UniformDestinations,
+)
 from repro.routing.greedy import GreedyArrayRouter
 from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
 from repro.sim.fifo_network import NetworkSimulation
@@ -130,7 +135,7 @@ class TestSlottedOptionParity:
         assert len(res.delays) == res.completed == res.generated
 
 
-class TestSlottedBatchedDraws:
+class TestSlottedBatchRng:
     """Blocked Poisson draws + fully batched slot kernel."""
 
     def _mk(self, dests, seed=11, rate=0.3, n=4, router=None):
@@ -145,6 +150,38 @@ class TestSlottedBatchedDraws:
         assert a.mean_delay == b.mean_delay
         assert a.mean_number == b.mean_number
         assert a.generated == b.generated
+
+    @pytest.mark.parametrize(
+        "dests_factory",
+        [
+            lambda: UniformDestinations(36),
+            lambda: HotSpotDestinations(36, hot_node=7, h=0.3),
+            lambda: GeometricStopDestinations(ArrayMesh(6), stop=0.5),
+            lambda: PermutationDestinations.transpose(ArrayMesh(6)),
+        ],
+        ids=["uniform", "hotspot", "geometric", "transpose"],
+    )
+    def test_independent_seeds_estimate_the_same_system(self, dests_factory):
+        """Two seeds of the one slot stream are different samplings of one
+        distribution: same delay within the CIs, and each slot's Poisson
+        batches add up to ``node_rate * N`` packets per slot."""
+        mesh = ArrayMesh(6)
+        router = GreedyArrayRouter(mesh)
+        horizon = 1500
+        runs = [
+            SlottedNetworkSimulation(router, dests_factory(), 0.2, seed=s).run(
+                50, horizon
+            )
+            for s in (1, 2)
+        ]
+        a, b = runs
+        tol = 0.35 + 3.0 * (a.delay_half_width + b.delay_half_width)
+        assert abs(a.mean_delay - b.mean_delay) < tol
+        for res in runs:
+            assert res.completed > 0
+            assert res.generated == pytest.approx(
+                0.2 * mesh.num_nodes * horizon, rel=0.05
+            )
 
     def test_randomized_router_coins_batched(self):
         mesh = ArrayMesh(4)

@@ -41,7 +41,7 @@ from repro.topology.array_mesh import ArrayMesh
 from repro.topology.linear import LinearArray
 from repro.topology.torus import Torus
 
-from _helpers import AlwaysNodeZero, BatchBoundaryRNG
+from _helpers import AlwaysNodeZero, BatchBoundaryRNG, patch_heap_event_queue
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -601,3 +601,30 @@ class TestRegistryBackendParam:
         pooled = replicate(spec, processes=1)
         assert all(r.completed > 0 for r in pooled.replications)
 
+
+
+class TestPSEventQueue:
+    def _spec(self):
+        return CellSpec(
+            scenario="uniform",
+            n=4,
+            node_rate=0.3,
+            engine="ps",
+            warmup=10,
+            horizon=200,
+            seeds=(0,),
+        )
+
+    def test_all_queue_kinds_are_bit_identical(self, monkeypatch):
+        """The PS loop pops the heap's exact order off the calendar
+        queue, so swapping in the heap changes no statistic."""
+        from repro.sim import ps_network
+
+        base = replicate(self._spec(), processes=1).replications[0]
+        with monkeypatch.context() as m:
+            built = patch_heap_event_queue(m, ps_network)
+            rep = replicate(self._spec(), processes=1).replications[0]
+        assert built
+        assert rep.mean_delay == base.mean_delay
+        assert rep.mean_number == base.mean_number
+        assert rep.generated == base.generated

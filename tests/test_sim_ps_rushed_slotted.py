@@ -18,7 +18,12 @@ from repro.sim.slotted import SlottedNetworkSimulation
 from repro.topology.array_mesh import ArrayMesh
 from repro.topology.linear import LinearArray
 
-from _helpers import AlwaysNodeZero, BatchBoundaryRNG, BoundaryRNG
+from _helpers import (
+    AlwaysNodeZero,
+    BatchBoundaryRNG,
+    BoundaryRNG,
+    patch_heap_event_queue,
+)
 
 
 class AcrossOnly:
@@ -164,6 +169,30 @@ class TestRushedCapabilities:
         assert plain.utilization.tolist() == tracked.utilization.tolist()
         assert np.isnan(plain.mean_remaining_saturated)
         assert plain.max_queue_length == -1
+
+    def test_event_queue_loop_pops_heap_order(self, monkeypatch):
+        """Per-edge service runs the calendar-queue loop; swapping in the
+        heap reproduces every statistic bit-for-bit."""
+        from repro.sim import rushed_network
+
+        mesh, router, dests = self._net()
+        rates = 1.0 + 0.5 * (np.arange(mesh.num_edges) % 4 == 0)
+
+        def run():
+            return RushedNetworkSimulation(
+                router, dests, 0.25, seed=31, service_rates=rates
+            ).run(20, 300, track_maxima=True)
+
+        cal = run()
+        with monkeypatch.context() as m:
+            built = patch_heap_event_queue(m, rushed_network)
+            heap = run()
+        assert built
+        assert cal.mean_number == heap.mean_number
+        assert cal.mean_delay == heap.mean_delay
+        assert cal.delay_half_width == heap.delay_half_width
+        assert cal.max_delay == heap.max_delay
+        assert cal.utilization.tolist() == heap.utilization.tolist()
 
     def test_saturated_copies_bounded_by_total(self):
         mesh, router, dests = self._net()
