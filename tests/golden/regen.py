@@ -212,9 +212,10 @@ def build_cases() -> dict:
             saturated_mask=saturated_mask,
         ).run(warmup, horizon, track_maxima=track_maxima))
 
-    def ps(name, router, dests, rate, seed, *, warmup=15.0, horizon=150.0):
+    def ps(name, router, dests, rate, seed, *, warmup=15.0, horizon=150.0,
+           service_rates=1.0):
         _capture(cases, name, lambda: PSNetworkSimulation(
-            router, dests, rate, seed=seed
+            router, dests, rate, seed=seed, service_rates=service_rates
         ).run(warmup, horizon))
 
     rushed("rushed_uniform", GreedyArrayRouter(m5),
@@ -235,6 +236,13 @@ def build_cases() -> dict:
        UniformDestinations(16), 0.12, 26)
     ps("ps_hotspot", GreedyArrayRouter(m4),
        HotSpotDestinations(16, hot_node=5, h=0.3), 0.10, 27)
+    # Unequal phi, loaded so the busiest edges run at rho = 0.7 and about
+    # a third of all completions happen at an edge holding 3+ customers: pins
+    # the PS drain and completion order beyond the one- and
+    # two-customer cases the light cells mostly see.
+    ps("ps_peredge_service", GreedyArrayRouter(m4),
+       UniformDestinations(16), 0.70, 29,
+       service_rates=per_edge_rates(m4.num_edges))
 
     # The finite-buffer loss engine. The finite_none_* cells use the
     # exact constructor args of their event_* twins, pinning the

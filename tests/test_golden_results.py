@@ -87,6 +87,7 @@ def test_fixture_covers_all_five_engines(golden):
         "rushed_sat_maxima",
         "ps_uniform",
         "ps_hotspot",
+        "ps_peredge_service",
         "finite_none_uniform",
         "finite_none_exp",
         "finite_uniform_k0",
