@@ -26,20 +26,22 @@ soft 1.5x floor so a noisy or slower machine does not fail the gate
 spuriously — absolute cross-machine comparisons belong to the warn-only
 perf gate, not to hard asserts.
 
-PR 3 added the remaining engines and the stochastic-service structural
-work: the exponential 32x32 cell on both event queues (calendar vs
-heap; parity within this container's noise band, interleaved best-of
-runs put the calendar at ~0.98-1.05x — the structure targets larger
-networks where heap depth grows), the ported rushed engine (16x16,
-~1.25-1.45x its pre-port baseline via the merge loop + arena + blocked
-draws) and the ported PS engine (8x8; PS keeps its O(k)-per-event
-re-linearisation, so the port is about shared architecture and
-validation parity, not throughput).
+The stochastic-service cells. The exponential 32x32 cell times the
+FIFO event-queue loop, which runs on a bare ``heapq`` list: event tuples
+lead with a unique ``(time, seq)``, so the pop order is total and is the
+order the golden fixtures pin. A fresh interleaved calendar-vs-heap
+measurement retired the bucketed calendar queue, with its adaptive
+bucket widths, from every engine: the heap won on every stochastic
+loop measured, and event times held as Python floats (the variate
+blocks become lists) keep its tuple comparisons in C. The rushed engine
+(16x16) times its monotone-merge loop with the shared path-cache arena
+and blocked draws. The PS engine (8x8) still drains every customer at
+an edge on each event there, O(k), but completes the head customer
+without a scan: all of an edge's customers drain at the common
+``phi / k``, so its works list stays sorted and index 0 is the minimum.
 
-The calendar queue has since grown Brown's-rule adaptive bucket widths
-and is the only event queue the engines build; the exponential cell
-times its loop. The slotted engine has one draw order (blocked Poisson
-counts plus per-slot batches), which ``test_slotted_8x8`` and
+The slotted engine has one draw order (blocked Poisson counts plus
+per-slot batches), which ``test_slotted_8x8`` and
 ``test_slotted_32x32`` time.
 
 The vectorized ``backend="numpy"`` whole-trajectory solver is timed by
@@ -185,10 +187,9 @@ def test_event_32x32_cached_beats_uncached(once, benchmark):
     assert t_cached < t_uncached * 1.05  # cache never loses
 
 
-def test_event_32x32_exponential_calendar(best_of, benchmark):
-    """The stochastic-service loop on the calendar queue — since the
-    adaptive-width work this is Brown's-rule resampling (the engine
-    default)."""
+def test_event_32x32_exponential(best_of, benchmark):
+    """The stochastic-service loop (exponential service) on its
+    ``heapq`` event list."""
     sim = _event_cell(32, service="exponential")
     res = best_of(sim.run, WARMUP, HORIZON)
     _record(benchmark, res, PRE_PR_EVENT_EXP_32)

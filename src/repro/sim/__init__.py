@@ -187,20 +187,18 @@ torus and k-d arrays; closed-form for hypercube and butterfly) — so no
 engine and no topology falls back to per-packet path building unless
 explicitly asked to (``use_path_cache=False``).
 
-**Monotone merge where service is uniform deterministic; a calendar
-queue where it is not.** With one deterministic service time everywhere
+**Monotone merge where service is uniform deterministic; a binary heap
+where it is not.** With one deterministic service time everywhere
 (the standard model), departures are pushed in nondecreasing time
 order, so the event engine, the finite-buffer engine (drops never
 schedule events) and the rushed engine replace the priority queue with
 an O(1) merge of a departure deque and the pending arrival. The
 stochastic-service cases (exponential service, per-edge rates) run on
-a *calendar queue* (:mod:`repro.sim.eventqueue`) — a bucketed event
-list whose buckets are sorted once on activation, with a small day-heap
-skipping empty buckets, and whose bucket width is re-estimated from
-queue occupancy by Brown's rule. It pops a binary heap's exact
-``(time, seq)`` order. PS has no monotone structure to exploit
-(completions are re-planned on every queue change), so its
-versioned-event loop rides the same calendar queue.
+a bare ``heapq`` list of event tuples led by a unique ``(time, seq)``,
+so the pop order is total and never compares payloads; event times are
+Python floats, which keeps the heap's comparisons in C. PS has no
+monotone structure to exploit (completions are re-planned on every
+queue change), so its versioned-event loop runs on a heap too.
 
 **Blocked and batched draws.** NumPy ``Generator`` array fills are
 stream-identical to the same number of consecutive scalar draws of the

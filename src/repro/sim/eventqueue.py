@@ -1,13 +1,18 @@
-"""Event-queue structures for the simulators' stochastic-service loops.
+"""Event-queue classes that no engine builds any more.
 
-The monotone-merge loop (uniform deterministic service) removed the heap
-from the engines' common case, but exponential and per-edge deterministic
-service still need a priority queue: departure times are not monotone in
-push order. Every such loop uses the *calendar queue* (bucketed event
-list) defined here. ``HeapEventQueue``, a ``heapq`` adapter with the same
-``push``/``pop`` interface, is built by no engine; it stays only because
-the benchmark's tracer (``perfbench/tracing.py``) imports both classes
-and counts calls on each.
+Every stochastic-service loop (exponential or per-edge service in the
+FIFO/finite kernels and the rushed engine, and the PS engine) runs on a
+bare ``heapq`` list. A fresh interleaved calendar-vs-heap measurement
+found the heap faster on every one of those loops, so the engines
+dropped the *calendar queue* (bucketed event list) defined here.
+
+The module stays for one reason: the benchmark's tracer
+(``perfbench/tracing.py``) imports ``CalendarQueue`` and
+``HeapEventQueue`` to count calls on them. Its counters read 0 now, and
+the module can go once an in-package instrument replaces that tracer.
+While ``CalendarQueue`` exists, the parity tests mirror every engine
+heap push into one and check that it pops the very same event at every
+step of real engine runs.
 
 Bit-identity contract
 ---------------------
@@ -18,32 +23,24 @@ calendar queue preserves that order structurally — events are bucketed by
 ``floor(time / width)`` (bucket time ranges are disjoint, so all events of
 an earlier bucket precede all events of a later one) and each bucket is
 sorted on activation, with same-bucket pushes merged in by ``insort``.
-Golden fixtures for the exponential and per-edge service cells therefore
-pin the calendar loop exactly as they would pin a heap loop.
-
-Why a calendar queue: ``heapq`` costs O(log n) comparisons per push *and*
-per pop on one global heap. The calendar queue does an O(1) list append
-per push into a future bucket, pays one C-speed sort per bucket on
-activation (timsort over a short, mostly-ordered run), and pops by index.
-A day heap (a small heap of active bucket indices) skips empty buckets,
-so sparse schedules cost nothing to traverse.
+That is what the parity tests check, pop for pop, against the engines'
+heaps.
 
 Adaptive bucket widths (Brown's rule)
 -------------------------------------
-The engines seed the width with one mean arrival gap — a good static
-guess for the standard model, but the *event* population (not the
-arrival rate) is what sets the optimal bucket size, and it drifts with
-load and queue depth. ``CalendarQueue`` therefore re-estimates its width
-from its own occupancy, following R. Brown's classic calendar-queue
-resize rule (CACM 1988): when the pending population doubles past (or
-shrinks to a quarter of) the population at the last estimate, sample the
-earliest pending events, set the width to three times their average
-separation, and rebucket. Resampling happens only at a bucket-activation
-boundary (the sorted active run is empty), and rebucketing by *any*
-positive width preserves the global ``(time, seq)`` order — bucket
-ranges stay disjoint and within-bucket order is restored by the
-activation sort — so the adaptive queue pops the exact heap order and
-stays pinned by the same golden fixtures and parity tests.
+The width starts at a caller's guess (one mean arrival gap suits the
+standard model), but the *event* population (not the arrival rate) is
+what sets the optimal bucket size, and it drifts with load and queue
+depth. ``CalendarQueue`` therefore re-estimates its width from its own
+occupancy, following R. Brown's classic calendar-queue resize rule
+(CACM 1988): when the pending population doubles past (or shrinks to a
+quarter of) the population at the last estimate, sample the earliest
+pending events, set the width to three times their average separation,
+and rebucket. Resampling happens only at a bucket-activation boundary
+(the sorted active run is empty), and rebucketing by *any* positive
+width preserves the global ``(time, seq)`` order — bucket ranges stay
+disjoint and within-bucket order is restored by the activation sort —
+so the adaptive queue pops the exact heap order.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ from bisect import insort
 
 #: Adaptive resizing triggers (Brown's rule): re-estimate when the
 #: pending population leaves ``[last / 4, last * 2]``, never below a
-#: floor that keeps tiny runs on the engine-seeded width.
+#: floor that keeps tiny runs on the initial width.
 _RESIZE_FLOOR = 512
 #: Number of earliest events sampled for the width estimate.
 _RESIZE_SAMPLE = 64
@@ -89,9 +86,7 @@ class CalendarQueue:
     Parameters
     ----------
     width:
-        Initial bucket width in simulation time. The engines pass one
-        mean arrival gap (``1 / total arrival rate``), so a bucket holds
-        roughly one route's worth of departure events; the width is then
+        Initial bucket width in simulation time; it is then
         re-estimated from queue occupancy by Brown's rule (see the
         module docstring). Correctness does not depend on the choice —
         only the append/sort balance does.

@@ -15,8 +15,7 @@ large-mesh statistics" as the risk):
   FIFO departure deque plus the single pending arrival) with the exact
   same ``(time, seq)`` pop order — O(1) per event instead of O(log n);
 * the general case (exponential or per-edge service times) runs on a
-  calendar queue (:mod:`repro.sim.eventqueue`, a bucketed event list
-  popping the exact ``(time, seq)`` order of a binary heap), with the
+  bare ``heapq`` list of ``(time, seq, ...)`` event tuples, with the
   arrival sentinel merged in;
 * external arrivals use a *merged* Poisson stream — one exponential gap at
   rate ``sum of node rates`` with the source drawn per packet — which is

@@ -36,8 +36,8 @@ that switch on the tail-drop admission test at the two enqueue points
 shared path-cache arena with ``(arena_offset, length)`` packet records,
 blocked RNG draws, the monotone-merge event loop for uniform
 deterministic service (drops never schedule events, so departure pushes
-stay nondecreasing) and the pluggable event queue
-(:mod:`repro.sim.eventqueue`) for stochastic service — is shared code.
+stay nondecreasing) and the ``heapq`` event loop for stochastic
+service — is shared code.
 With ``buffer_size=None`` the run is delegated to the FIFO engine, so
 it is *bit-identical* to ``engine="fifo"`` — pinned by the
 ``finite_none_*`` golden cells — and with buffers too large to ever

@@ -7,8 +7,9 @@
 tail-drop admission test, so it passes its per-edge caps where the FIFO
 engine passes ``None`` (infinite buffers). That family has three loops —
 a lean monotone merge for the plain-statistics FIFO case, a tracked
-monotone merge, and an event-queue loop — and the admission test sits
-at the two enqueue points of the last two. The RNG draw order, the
+monotone merge, and an event-queue loop on a bare ``heapq`` list for
+stochastic service — and the admission test sits at the two enqueue
+points of the last two. The RNG draw order, the
 event pop order and the floating-point accumulation order are exactly
 those of the pre-kernels engines, and the golden fixtures
 (``tests/golden/``) pass unchanged: this module *is* the same-seed
@@ -22,11 +23,11 @@ and own only the hot loop plus the result assembly.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any
 
 import numpy as np
 
-from repro.sim.eventqueue import CalendarQueue
 from repro.sim.measurement import TimeBatchAccumulator
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
@@ -150,21 +151,18 @@ def _run_fifo_loops(
     searchsorted = np.searchsorted
     dest_sample = destinations.sample
 
-    def service_sample(e: int) -> float:
-        nonlocal exp_i, exp_block
-        if not exponential:
-            return st[e]
-        if exp_i >= _BLOCK:
-            exp_block = rng.exponential(size=_BLOCK)
-            exp_i = 0
-        v = exp_block[exp_i] * st[e]
-        exp_i += 1
-        return v
-
     def start_service_heap(e: int, t: float, pkt: list) -> None:
-        nonlocal seq
-        s = service_sample(e)
-        pushe((t + s, seq, e, pkt))
+        """Draw edge e's service time and schedule pkt's departure."""
+        nonlocal seq, exp_i, exp_block
+        if exponential:
+            if exp_i >= _BLOCK:
+                exp_block = rng.exponential(size=_BLOCK).tolist()
+                exp_i = 0
+            s = exp_block[exp_i] * st[e]
+            exp_i += 1
+        else:
+            s = st[e]
+        pushe(evq, (t + s, seq, e, pkt))
         seq += 1
         if util is not None:
             lo = t if t > warmup else warmup
@@ -573,22 +571,21 @@ def _run_fifo_loops(
     else:
         # ------------------ event-queue loop ------------------
         # Exponential or per-edge deterministic service: departure
-        # times are not monotone, so the calendar queue orders them
-        # (in a binary heap's exact (time, seq) order), with the
-        # arrival sentinel merged in. The calendar bucket width is
-        # one mean arrival gap: the event rate is roughly the
-        # arrival rate times the mean hop count, so a bucket holds
-        # on the order of one route's worth of events — enough to
-        # amortise the day-heap traffic, small enough that the
-        # activation sort and same-bucket insorts stay cheap.
-        evq = CalendarQueue(gap_scale)
-        pushe = evq.push
-        pope = evq.pop
-        pushe((first_gap, seq, -1, None))
+        # times are not monotone, so a binary heap orders them, with the
+        # arrival sentinel merged in. Event tuples lead with a unique
+        # (time, seq), so the pop order is total and never compares
+        # packet records. Variates come from lists from here on, so
+        # event times are Python floats, which the heap compares far
+        # faster than numpy scalars (same bits either way).
+        evq: list = []
+        pushe = heappush
+        pope = heappop
+        exp_block = exp_block.tolist()
+        pushe(evq, (float(first_gap), seq, -1, None))
         seq += 1
         fast_service = not exponential and util is None
         while evq:
-            t, _s, e, pkt = pope()
+            t, _s, e, pkt = pope(evq)
             if not maxima_seeded and t >= warmup:
                 maxima_seeded = True
                 for q in queues:
@@ -698,15 +695,15 @@ def _run_fifo_loops(
                         else:
                             busy[f] = 1
                             if fast_service:
-                                pushe((t + st[f], seq, f, new_pkt))
+                                pushe(evq, (t + st[f], seq, f, new_pkt))
                                 seq += 1
                             else:
                                 start_service_heap(f, t, new_pkt)
                 # Next arrival.
                 if exp_i >= BLK:
-                    exp_block = rng.exponential(size=BLK)
+                    exp_block = rng.exponential(size=BLK).tolist()
                     exp_i = 0
-                pushe((t + exp_block[exp_i] * gap_scale, seq, -1, None))
+                pushe(evq, (t + exp_block[exp_i] * gap_scale, seq, -1, None))
                 exp_i += 1
                 seq += 1
             else:
@@ -760,7 +757,7 @@ def _run_fifo_loops(
                         else:
                             busy[f] = 1
                             if fast_service:
-                                pushe((t + st[f], seq, f, pkt))
+                                pushe(evq, (t + st[f], seq, f, pkt))
                                 seq += 1
                             else:
                                 start_service_heap(f, t, pkt)
@@ -768,7 +765,7 @@ def _run_fifo_loops(
                 if q:
                     nxt = q.popleft()
                     if fast_service:
-                        pushe((t + st[e], seq, e, nxt))
+                        pushe(evq, (t + st[e], seq, e, nxt))
                         seq += 1
                     else:
                         start_service_heap(e, t, nxt)

@@ -15,14 +15,19 @@ Implementation: the classic virtual-completion-event scheme. Each queue
 keeps its customers' remaining work, a ``last update`` timestamp and a
 version counter; arrival or departure at the queue re-linearises the drain
 and re-schedules the (single) next-completion event, bumping the version so
-stale entries are skipped on pop. Cost is O(k) per queue event, which
+stale entries are skipped on pop. Draining is O(k) per queue event, which
 is fine at the modest sizes the PS comparisons run at (its purpose is
-validation, not Table-scale statistics). Because completions are
-re-planned (truly stochastic event times), this engine needs a priority
-queue — the merge loop does not apply — and that queue is the
-:mod:`repro.sim.eventqueue` calendar queue the FIFO/rushed/finite
-stochastic loops use (it pops the exact ``(time, seq)`` order of a
-binary heap). It shares the rest of the hot-path architecture: paths
+validation, not Table-scale statistics). Finding the completing customer
+needs no scan: every customer at an edge drains at the same ``phi / k``
+and joins with work 1.0, at least any resident's remaining work, and
+float subtraction of one common amount is monotone, so each works list
+stays nondecreasing. The head customer is therefore always the first
+minimum (the one a ``min`` scan would pick), completes by ``del
+works[0]``, and its remaining work sets the queue's next completion
+time. Because completions are re-planned (truly stochastic event times),
+this engine needs a priority queue — the merge loop does not apply — and
+that queue is a bare ``heapq`` list, as in the FIFO/rushed/finite
+stochastic loops. It shares the rest of the hot-path architecture: paths
 come from the shared :mod:`repro.routing.pathcache` arena, packet records
 store ``(arena_offset, length)`` views, and the source draw uses the
 pinned CDF with ``side='right'`` so a boundary draw can never select a
@@ -33,6 +38,7 @@ unchanged from the pre-cache engine, and the PS golden cells in
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +50,6 @@ from repro.sim.enginecommon import (
     EngineCommon,
     resolve_service_rates,
 )
-from repro.sim.eventqueue import CalendarQueue
 from repro.sim.measurement import TimeBatchAccumulator
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
@@ -119,19 +124,19 @@ class PSNetworkSimulation:
             det_build = cache.ensure
             sample_offlen = None
 
-        # Per-queue PS state.
+        # Per-queue PS state. Each works list stays nondecreasing (see
+        # the module docstring), so index 0 is the next to complete.
         works: list[list[float]] = [[] for _ in range(num_edges)]
         pkts: list[list[list]] = [[] for _ in range(num_edges)]
         last_up = [0.0] * num_edges
         version = [0] * num_edges
 
-        # All pushes carry times >= the current event time (completions
-        # are re-planned forward, arrivals add an exponential gap), so the
-        # calendar queue's monotone-push contract holds.
-        evq = CalendarQueue(1.0 / self.total_rate)
+        # Event tuples lead with a unique (time, seq), so heap order is a
+        # total order that never compares payloads.
+        evq: list = []
         seq = 0
-        push = evq.push
-        pop = evq.pop
+        push = heappush
+        pop = heappop
         searchsorted = np.searchsorted
         sources = self.source_nodes
         source_cdf = self._source_cdf
@@ -148,43 +153,15 @@ class PSNetworkSimulation:
         delays: list[float] | None = [] if collect_delays else None
         ndist: dict[int, float] | None = {} if track_number_distribution else None
 
-        def elapse(e: int, t: float) -> None:
-            """Drain remaining works at queue e up to time t."""
-            k = len(works[e])
-            if k:
-                dt = t - last_up[e]
-                if dt > 0.0:
-                    rate = phi[e] / k
-                    w = works[e]
-                    for i in range(k):
-                        w[i] -= dt * rate
-            last_up[e] = t
-
-        def reschedule(e: int, t: float) -> None:
-            """Re-plan queue e's next completion after a state change."""
-            nonlocal seq
-            version[e] += 1
-            k = len(works[e])
-            if k:
-                t_next = t + min(works[e]) * k / phi[e]
-                push((t_next, seq, e, version[e]))
-                seq += 1
-
-        def enqueue(e: int, t: float, pkt: list) -> None:
-            elapse(e, t)
-            works[e].append(1.0)  # unit work per customer
-            pkts[e].append(pkt)
-            reschedule(e, t)
-
         # PS replans one exponential arrival gap per event; the scalar
         # draw order *is* the engine's pinned bit-identity stream (golden
         # ps_* cells), so the blocked-draw convention does not apply.
-        push((rng.exponential(1.0 / self.total_rate), seq, -1, 0))  # replint: disable=rng-discipline
+        push(evq, (rng.exponential(1.0 / self.total_rate), seq, -1, 0))  # replint: disable=rng-discipline
         seq += 1
 
         draining = False
         while evq:
-            t, _s, e, ver = pop()
+            t, _s, e, ver = pop(evq)
             if t >= t_end and not draining:
                 draining = True
                 in_flight_at_horizon = in_system
@@ -239,23 +216,44 @@ class PSNetworkSimulation:
                         off, ln = sample_offlen(src, dst, rng)
                     in_system += 1
                     remaining += ln
+                    # Join the first edge: drain it to t, append, re-plan.
+                    f = arena[off]
+                    w = works[f]
+                    k = len(w)
+                    if k:
+                        dt = t - last_up[f]
+                        if dt > 0.0:
+                            x = dt * (phi[f] / k)
+                            for i in range(k):
+                                w[i] -= x
+                    last_up[f] = t
+                    w.append(1.0)  # unit work per customer
                     # packet record: [birth, arena offset, length, hops
                     # done, measured]
                     # (fresh per-packet record — mutated in place)
-                    enqueue(arena[off], t, [t, off, ln, 0, measured])  # replint: disable=hot-loop-alloc
+                    pkts[f].append([t, off, ln, 0, measured])  # replint: disable=hot-loop-alloc
+                    ver = version[f] + 1
+                    version[f] = ver
+                    push(evq, (t + w[0] * (k + 1) / phi[f], seq, f, ver))
+                    seq += 1
                 # Same pinned per-event scalar stream as the initial draw.
-                push((t + rng.exponential(1.0 / self.total_rate), seq, -1, 0))  # replint: disable=rng-discipline
+                push(evq, (t + rng.exponential(1.0 / self.total_rate), seq, -1, 0))  # replint: disable=rng-discipline
                 seq += 1
             else:
                 # ----- tentative completion at queue e -----
                 if ver != version[e]:
                     continue  # stale event
-                elapse(e, t)
-                # The minimal-work customer is the one completing.
+                # Drain queue e to t; the head customer completes.
                 w = works[e]
-                idx = min(range(len(w)), key=w.__getitem__)
-                w.pop(idx)
-                pkt = pkts[e].pop(idx)
+                k = len(w)
+                dt = t - last_up[e]
+                if dt > 0.0:
+                    x = dt * (phi[e] / k)
+                    for i in range(k):
+                        w[i] -= x
+                last_up[e] = t
+                del w[0]
+                pkt = pkts[e].pop(0)
                 remaining -= 1
                 hop = pkt[3] + 1
                 pkt[3] = hop
@@ -268,8 +266,30 @@ class PSNetworkSimulation:
                         if delays is not None:
                             delays.append(d)
                 else:
-                    enqueue(arena[pkt[1] + hop], t, pkt)
-                reschedule(e, t)
+                    # Join the next edge.
+                    f = arena[pkt[1] + hop]
+                    wf = works[f]
+                    kf = len(wf)
+                    if kf:
+                        dt = t - last_up[f]
+                        if dt > 0.0:
+                            x = dt * (phi[f] / kf)
+                            for i in range(kf):
+                                wf[i] -= x
+                    last_up[f] = t
+                    wf.append(1.0)
+                    pkts[f].append(pkt)
+                    ver = version[f] + 1
+                    version[f] = ver
+                    push(evq, (t + wf[0] * (kf + 1) / phi[f], seq, f, ver))
+                    seq += 1
+                # Re-plan queue e's next completion.
+                ver = version[e] + 1
+                version[e] = ver
+                k = len(w)
+                if k:
+                    push(evq, (t + w[0] * k / phi[e], seq, e, ver))
+                    seq += 1
 
         if last_t < t_end:
             lo = last_t if last_t > warmup else warmup

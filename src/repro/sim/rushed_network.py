@@ -25,7 +25,7 @@ come from the shared :mod:`repro.routing.pathcache` arena and the packet
 record stores an ``(arena_offset, length)`` view; exponential gaps and
 uniform id pairs are drawn in 8192-size blocks; uniform deterministic
 service (the standard model) runs the monotone-merge event loop, and
-per-edge deterministic service runs on the calendar queue. The
+per-edge deterministic service runs on a ``heapq`` event list. The
 same-seed bit-identity contract applies: the rushed golden cells in
 ``tests/golden/`` pin this engine's outputs.
 """
@@ -33,6 +33,7 @@ same-seed bit-identity contract applies: the rushed golden cells in
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +46,6 @@ from repro.sim.enginecommon import (
     resolve_saturated_mask,
     resolve_service_rates,
 )
-from repro.sim.eventqueue import CalendarQueue
 from repro.sim.measurement import TimeBatchAccumulator
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
@@ -356,15 +356,19 @@ class RushedNetworkSimulation:
         else:
             # ------------- event-queue loop (per-edge service) -------------
             # Per-edge deterministic service times break the monotone push
-            # order; the calendar queue orders departures exactly like a
-            # binary heap would.
-            evq = CalendarQueue(gap_scale)
-            pushe = evq.push
-            pope = evq.pop
-            pushe((first_gap, seq, -1, None))
+            # order, so a binary heap orders departures; the unique
+            # (time, seq) tuple prefix makes its pop order total. Gaps
+            # come from lists so event times are Python floats, which
+            # the heap compares far faster than numpy scalars (same
+            # bits either way).
+            evq: list = []
+            pushe = heappush
+            pope = heappop
+            exp_block = exp_block.tolist()
+            pushe(evq, (float(first_gap), seq, -1, None))
             seq += 1
             while evq:
-                t, _s, e, parent = pope()
+                t, _s, e, parent = pope(evq)
                 if not maxima_seeded and t >= warmup:
                     maxima_seeded = True
                     for q in queues:
@@ -451,12 +455,12 @@ class RushedNetworkSimulation:
                                     max_queue = len(q)
                             else:
                                 busy[f] = 1
-                                pushe((t + st[f], seq, f, parent))
+                                pushe(evq, (t + st[f], seq, f, parent))
                                 seq += 1
                     if exp_i >= BLK:
-                        exp_block = rng.exponential(size=BLK)
+                        exp_block = rng.exponential(size=BLK).tolist()
                         exp_i = 0
-                    pushe((t + exp_block[exp_i] * gap_scale, seq, -1, None))
+                    pushe(evq, (t + exp_block[exp_i] * gap_scale, seq, -1, None))
                     exp_i += 1
                     seq += 1
                 else:
@@ -475,7 +479,7 @@ class RushedNetworkSimulation:
                             max_delay = d
                     q = queues[e]
                     if q:
-                        pushe((t + st[e], seq, e, q.popleft()))
+                        pushe(evq, (t + st[e], seq, e, q.popleft()))
                         seq += 1
                     else:
                         busy[e] = 0

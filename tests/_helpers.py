@@ -61,20 +61,37 @@ class BatchBoundaryRNG:
 
 
 def patch_heap_event_queue(monkeypatch, module):
-    """Make ``module`` build the ``heapq`` adapter wherever it builds a
-    ``CalendarQueue``, so one engine loop can be run on both queues.
+    """Mirror every event ``module``'s loops push onto their ``heapq``
+    list into a ``CalendarQueue``, and assert that each heap pop is the
+    very object the calendar pops next — so one engine run checks the
+    two queues' pop orders on a real event stream.
 
-    Returns the list of queues built under the patch; a non-empty list
-    proves the run went through the event-queue loop at all.
+    Returns the list of ``(heap, calendar)`` pairs built under the patch;
+    a non-empty list proves the run went through an event-queue loop.
     """
-    from repro.sim.eventqueue import HeapEventQueue
+    import heapq
+
+    from repro.sim.eventqueue import CalendarQueue
 
     built = []
+    mirrors = {}  # id(heap) -> calendar; built keeps each heap alive
 
-    def make(width):
-        queue = HeapEventQueue()
-        built.append(queue)
-        return queue
+    def push(heap, item):
+        calendar = mirrors.get(id(heap))
+        if calendar is None:
+            # Any width pops the same order; Brown's rule re-estimates it.
+            calendar = mirrors[id(heap)] = CalendarQueue(1.0)
+            built.append((heap, calendar))
+        calendar.push(item)
+        heapq.heappush(heap, item)
 
-    monkeypatch.setattr(module, "CalendarQueue", make)
+    def pop(heap):
+        item = heapq.heappop(heap)
+        calendar = mirrors[id(heap)]
+        assert calendar.pop() is item, "calendar and heap pop orders differ"
+        assert len(calendar) == len(heap)
+        return item
+
+    monkeypatch.setattr(module, "heappush", push)
+    monkeypatch.setattr(module, "heappop", pop)
     return built

@@ -232,8 +232,9 @@ def test_shared_cache_state_does_not_leak_into_results():
 
 
 def test_calendar_queue_matches_heap_queue_exactly(monkeypatch):
-    """The calendar queue is a pure data-structure swap for the heap in
-    the stochastic-service loop: identical pop order, identical outputs."""
+    """On the stochastic-service loop's real event stream the calendar
+    queue pops exactly the heap's order (the mirror checks every pop),
+    and mirroring leaves every output unchanged."""
     from repro.routing.destinations import UniformDestinations
     from repro.routing.greedy import GreedyArrayRouter
     from repro.sim.fifo_network import NetworkSimulation

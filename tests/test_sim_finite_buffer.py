@@ -158,8 +158,8 @@ class TestFifoIdentity:
     def test_event_queue_kinds_agree_with_drops(
         self, router4, uniform4, monkeypatch
     ):
-        """The calendar queue and the heap produce the same trajectory
-        even when packets drop."""
+        """The calendar queue pops the heap's exact order on the
+        event-queue loop's stream even when packets drop."""
 
         def run():
             return FiniteBufferNetworkSimulation(
@@ -167,16 +167,16 @@ class TestFifoIdentity:
                 service="exponential",
             ).run(10, 150, collect_delays=True)
 
-        cal = run()
+        base = run()
         with monkeypatch.context() as m:
             built = patch_heap_event_queue(m, python_backend)
-            heap = run()
+            mirrored = run()
         assert built
-        assert cal.dropped > 0
-        assert cal.dropped == heap.dropped
-        assert cal.node_drops.tolist() == heap.node_drops.tolist()
-        assert cal.delays.tolist() == heap.delays.tolist()
-        assert cal.mean_number == heap.mean_number
+        assert base.dropped > 0
+        assert base.dropped == mirrored.dropped
+        assert base.node_drops.tolist() == mirrored.node_drops.tolist()
+        assert base.delays.tolist() == mirrored.delays.tolist()
+        assert base.mean_number == mirrored.mean_number
 
 
 class TestDropAccounting:

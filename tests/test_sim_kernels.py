@@ -616,8 +616,8 @@ class TestPSEventQueue:
         )
 
     def test_all_queue_kinds_are_bit_identical(self, monkeypatch):
-        """The PS loop pops the heap's exact order off the calendar
-        queue, so swapping in the heap changes no statistic."""
+        """A calendar queue mirroring the PS loop's heap pops the same
+        event at every step, and mirroring changes no statistic."""
         from repro.sim import ps_network
 
         base = replicate(self._spec(), processes=1).replications[0]

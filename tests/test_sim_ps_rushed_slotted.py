@@ -94,6 +94,35 @@ class TestPSSimulator:
         a, b = mk(), mk()
         assert a.mean_delay == b.mean_delay
 
+    def test_common_drain_keeps_works_sorted(self):
+        """PS completes each edge's head customer. That rests on a float
+        fact: subtracting one common ``dt * (phi / k)`` from every entry
+        of a nondecreasing list keeps it nondecreasing (IEEE subtraction
+        is monotone), so index 0 stays the first minimum. Arrivals append
+        1.0, which no drained entry exceeds, and completions delete the
+        head, exactly as the engine does."""
+        rng = np.random.default_rng(20240516)
+        phis = (1.0, 1.5, 0.3, 7.25, 1e-3, 1e3)
+        dts = (5e-324, 1e-300, 1e-17, 1e-9, 0.37, 1.0, 1e6, 1e12)
+        for _ in range(300):
+            k = int(rng.integers(1, 65))
+            # Draw from a few distinct values so equal entries are common.
+            pool = rng.random(max(1, k // 4)).tolist() + [1.0]
+            w = sorted(pool[int(i)] for i in rng.integers(len(pool), size=k))
+            phi = phis[int(rng.integers(len(phis)))]
+            for _ in range(40):
+                action = rng.random()
+                if action < 0.15 and len(w) < 64:
+                    w.append(1.0)
+                elif action < 0.3 and len(w) > 1:
+                    del w[0]
+                dt = dts[int(rng.integers(len(dts)))] * (0.5 + rng.random())
+                x = dt * (phi / len(w))
+                for i in range(len(w)):
+                    w[i] -= x
+                assert all(a <= b for a, b in zip(w, w[1:]))
+                assert min(range(len(w)), key=w.__getitem__) == 0
+
 
 class TestRushedSimulator:
     @pytest.mark.slow
@@ -171,8 +200,9 @@ class TestRushedCapabilities:
         assert plain.max_queue_length == -1
 
     def test_event_queue_loop_pops_heap_order(self, monkeypatch):
-        """Per-edge service runs the calendar-queue loop; swapping in the
-        heap reproduces every statistic bit-for-bit."""
+        """Per-edge service runs the event-queue loop; a calendar queue
+        mirroring its heap pops the same event at every step, and
+        mirroring changes no statistic."""
         from repro.sim import rushed_network
 
         mesh, router, dests = self._net()
@@ -183,16 +213,16 @@ class TestRushedCapabilities:
                 router, dests, 0.25, seed=31, service_rates=rates
             ).run(20, 300, track_maxima=True)
 
-        cal = run()
+        base = run()
         with monkeypatch.context() as m:
             built = patch_heap_event_queue(m, rushed_network)
-            heap = run()
+            mirrored = run()
         assert built
-        assert cal.mean_number == heap.mean_number
-        assert cal.mean_delay == heap.mean_delay
-        assert cal.delay_half_width == heap.delay_half_width
-        assert cal.max_delay == heap.max_delay
-        assert cal.utilization.tolist() == heap.utilization.tolist()
+        assert base.mean_number == mirrored.mean_number
+        assert base.mean_delay == mirrored.mean_delay
+        assert base.delay_half_width == mirrored.delay_half_width
+        assert base.max_delay == mirrored.max_delay
+        assert base.utilization.tolist() == mirrored.utilization.tolist()
 
     def test_saturated_copies_bounded_by_total(self):
         mesh, router, dests = self._net()
