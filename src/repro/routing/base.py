@@ -43,6 +43,12 @@ class BaseRouter:
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
+        # Every edge id as one shared int object. Closed-form ``path``
+        # implementations slice or index this list rather than compute
+        # fresh ints, so all path-cache arena entries naming an edge
+        # share its one object (a fresh int per entry doubles the
+        # memory of an arena holding millions of entries).
+        self._edge_ids = list(range(topology.num_edges))
 
     def path(self, src: int, dst: int) -> tuple[int, ...]:  # pragma: no cover
         raise NotImplementedError

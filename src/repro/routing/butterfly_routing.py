@@ -40,13 +40,15 @@ class ButterflyRouter(BaseRouter):
             raise ValueError(f"butterfly sources must be level-0 nodes, got level {level_s}")
         if level_d != b.d:
             raise ValueError(f"butterfly destinations must be level-{b.d} nodes, got level {level_d}")
+        # Level ``l``'s block holds the straight edges at ``2 * rows * l +
+        # row`` and the cross edges ``rows`` past them.
+        rows = b.rows
+        ids = self._edge_ids
         out: list[int] = []
         row = row_s
         need = row_s ^ row_d
         for level in range(b.d):
-            if (need >> level) & 1:
-                out.append(b.cross_edge(level, row))
-                row ^= 1 << level
-            else:
-                out.append(b.straight_edge(level, row))
+            cross = need & (1 << level)
+            out.append(ids[2 * rows * level + (rows if cross else 0) + row])
+            row ^= cross
         return tuple(out)

@@ -7,13 +7,15 @@ order (row edges first); :class:`GreedyKDRouter` generalises to
 k-dimensional arrays, correcting dimensions in a fixed canonical order,
 which is the natural higher-dimensional analogue from Section 5.2.
 
-Implementation note: paths are built from precomputed per-direction edge-id
-grids, so constructing a path costs one Python loop iteration per hop with
-no hashing — this is the per-packet hot path of the event engines. The
-vectorized kernels skip it: :meth:`GreedyArrayRouter.route_batch` emits a
-whole batch of paths as arithmetic runs of edge ids, and
-:meth:`GreedyArrayRouter.edge_levels` gives the static edge order their
-level sweep needs.
+Implementation note: a dimension-order path is a few straight legs, and
+along a leg the edge ids form an arithmetic run (the id-block table in
+:mod:`repro.topology.array_mesh`). Both routers build :meth:`path` from
+those runs in closed form, with no per-hop lookup and no per-router
+table; :meth:`path` is what the path cache memoizes for the event
+engines. The vectorized kernels skip the cache:
+:meth:`GreedyArrayRouter.route_batch` emits a whole batch of paths from
+the same leg arithmetic, and :meth:`GreedyArrayRouter.edge_levels` gives
+the static edge order their level sweep needs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.routing.base import BaseRouter
-from repro.topology.array_mesh import DOWN, LEFT, RIGHT, UP, ArrayMesh, KDArray
+from repro.topology.array_mesh import ArrayMesh, KDArray
 
 
 def _arithmetic_runs(
@@ -82,60 +84,34 @@ class GreedyArrayRouter(BaseRouter):
         super().__init__(mesh)
         self.mesh = mesh
         self.column_first = column_first
-        rows, cols = mesh.rows, mesh.cols
-        # Per-direction edge-id grids; -1 marks a missing edge at a border.
-        self._right = np.full((rows, cols), -1, dtype=np.int64)
-        self._left = np.full((rows, cols), -1, dtype=np.int64)
-        self._down = np.full((rows, cols), -1, dtype=np.int64)
-        self._up = np.full((rows, cols), -1, dtype=np.int64)
-        for i in range(rows):
-            for j in range(cols):
-                if j < cols - 1:
-                    self._right[i, j] = mesh.directed_edge_id(i, j, RIGHT)
-                if j > 0:
-                    self._left[i, j] = mesh.directed_edge_id(i, j, LEFT)
-                if i < rows - 1:
-                    self._down[i, j] = mesh.directed_edge_id(i, j, DOWN)
-                if i > 0:
-                    self._up[i, j] = mesh.directed_edge_id(i, j, UP)
-        # Nested-list mirrors of the grids for the leg builders: Python
-        # list indexing is ~10x faster than NumPy scalar indexing, and the
-        # builders are the path cache's miss path (hot at large meshes
-        # where most (src, dst) pairs are seen once).
-        self._right_rows: list[list[int]] = self._right.tolist()
-        self._left_rows: list[list[int]] = self._left.tolist()
-        self._down_rows: list[list[int]] = self._down.tolist()
-        self._up_rows: list[list[int]] = self._up.tolist()
-
-    def _row_leg(self, i: int, j: int, j2: int) -> list[int]:
-        """Edges walking along row ``i`` from column ``j`` to ``j2``."""
-        if j2 > j:
-            row = self._right_rows[i]
-            return row[j:j2]
-        row = self._left_rows[i]
-        return [row[c] for c in range(j, j2, -1)]
-
-    def _col_leg(self, i: int, i2: int, j: int) -> list[int]:
-        """Edges walking along column ``j`` from row ``i`` to ``i2``."""
-        if i2 > i:
-            grid = self._down_rows
-            return [grid[r][j] for r in range(i, i2)]
-        grid = self._up_rows
-        return [grid[r][j] for r in range(i, i2, -1)]
 
     def path(self, src: int, dst: int) -> tuple[int, ...]:
-        """Greedy path from ``src`` to ``dst``; empty when they coincide."""
+        """Greedy path from ``src`` to ``dst``; empty when they coincide.
+
+        The two legs are the arithmetic runs :meth:`route_batch` emits:
+        a row leg stepping ``±1`` through the RIGHT or LEFT block and a
+        column leg stepping ``±cols`` through the DOWN or UP block.
+        """
         if src == dst:
             return ()
-        i1, j1 = self.mesh.node_coords(src)
-        i2, j2 = self.mesh.node_coords(dst)
+        mesh = self.mesh
+        rows, cols = mesh.rows, mesh.cols
+        i1, j1 = mesh.node_coords(src)
+        i2, j2 = mesh.node_coords(dst)
+        dj, di = j2 - j1, i2 - i1
+        h, v = rows * (cols - 1), (rows - 1) * cols
+        # The row leg runs on row ``r``, the column leg on column ``c``.
+        r, c = (i2, j1) if self.column_first else (i1, j2)
+        row_start = (0 if dj > 0 else h - 1) + r * (cols - 1) + j1
+        col_start = (2 * h if di > 0 else 2 * h + v - cols) + i1 * cols + c
+        # A backward leg stops above its block's base, so no slice stop
+        # is ever negative.
+        ids = self._edge_ids
+        row = ids[row_start : row_start + dj : 1 if dj > 0 else -1]
+        col = ids[col_start : col_start + di * cols : cols if di > 0 else -cols]
         if self.column_first:
-            first = self._col_leg(i1, i2, j1) if i1 != i2 else []
-            second = self._row_leg(i2, j1, j2) if j1 != j2 else []
-        else:
-            first = self._row_leg(i1, j1, j2) if j1 != j2 else []
-            second = self._col_leg(i1, i2, j2) if i1 != i2 else []
-        return tuple(first + second)
+            return (*col, *row)
+        return (*row, *col)
 
     def route_batch(
         self, srcs: np.ndarray, dsts: np.ndarray
@@ -205,25 +181,41 @@ class GreedyKDRouter(BaseRouter):
         if sorted(order) != list(range(k)):
             raise ValueError(f"dimension_order must permute 0..{k - 1}, got {order}")
         self.dimension_order = order
+        # Per corrected axis: stride, stride times side, and the bases of
+        # the (axis, +) and (axis, -) edge-id blocks.
+        self._legs = tuple(
+            (axis, array.strides[axis], array.strides[axis] * array.dims[axis],
+             array.block(axis, +1)[0], array.block(axis, -1)[0])
+            for axis in order
+        )
 
     def path(self, src: int, dst: int) -> tuple[int, ...]:
-        """Correct each dimension fully, in canonical order."""
+        """Correct each dimension fully, in ``dimension_order``.
+
+        Each axis correction is one arithmetic run stepping by ``±s``
+        (the axis stride). With side ``d``, the edge out of node ``v`` is
+        number ``v - (v // (d * s)) * s`` in the ``(axis, +)`` block of
+        :class:`~repro.topology.array_mesh.KDArray` (each earlier span of
+        ``d * s`` nodes has ``s`` on its far face, which own no such
+        edge), and ``s`` lower in the ``(axis, -)`` block (the near face
+        owns none).
+        """
         if src == dst:
             return ()
-        coord = list(self.array.node_coords(src))
+        coord = self.array.node_coords(src)
         target = self.array.node_coords(dst)
+        ids = self._edge_ids
         at = src
         out: list[int] = []
-        for axis in self.dimension_order:
-            step = self.array.strides[axis]
-            while coord[axis] < target[axis]:
-                nxt = at + step
-                out.append(self.array.edge_id(at, nxt))
-                at = nxt
-                coord[axis] += 1
-            while coord[axis] > target[axis]:
-                nxt = at - step
-                out.append(self.array.edge_id(at, nxt))
-                at = nxt
-                coord[axis] -= 1
+        for axis, s, span, plus, minus in self._legs:
+            delta = target[axis] - coord[axis]
+            if delta > 0:
+                start = plus + at - at // span * s
+                out += ids[start : start + delta * s : s]
+            elif delta < 0:
+                # The (axis, -) block starts at or past ``s``, so the
+                # slice stop is never negative.
+                start = minus + at - (at // span + 1) * s
+                out += ids[start : start + delta * s : -s]
+            at += delta * s
         return tuple(out)

@@ -33,19 +33,31 @@ class GreedyHypercubeRouter(BaseRouter):
         self.cube = cube
 
     def path(self, src: int, dst: int) -> tuple[int, ...]:
-        """Cross each differing dimension once, lowest dimension first."""
+        """Cross each differing dimension once, lowest dimension first.
+
+        Dimension ``k``'s edge block starts at ``k * 2^d`` and the edge
+        out of node ``v`` sits at offset ``v`` in it, so each hop is one
+        addition.
+        """
         if src == dst:
             return ()
+        n = self.cube.num_nodes
+        for v in (src, dst):
+            if not 0 <= v < n:
+                raise ValueError(f"node {v} outside 0..{n - 1}")
+        ids = self._edge_ids
         at = int(src)
         diff = at ^ int(dst)
         out: list[int] = []
-        k = 0
+        base = 0
+        bit = 1
         while diff:
-            if diff & 1:
-                out.append(self.cube.dimension_edge(at, k))
-                at ^= 1 << k
-            diff >>= 1
-            k += 1
+            if diff & bit:
+                out.append(ids[base + at])
+                at ^= bit
+                diff ^= bit
+            base += n
+            bit <<= 1
         return tuple(out)
 
     def route_batch(

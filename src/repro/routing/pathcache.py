@@ -1,12 +1,10 @@
 """Shared path-cache arena: the per-packet routing hot path.
 
-Both simulation engines used to rebuild every packet's path hop by hop
-(``GreedyArrayRouter.path`` does one NumPy scalar index per hop), which at
-32x32 mesh sizes is a noticeable slice of the whole run. Paths, however,
-are pure functions of ``(src, dst)`` for every deterministic router, and a
-mixture of two such functions for the Section 6 randomized scheme — so the
-work is memoizable. This module provides that memo as a *flat shared
-arena*.
+Paths are pure functions of ``(src, dst)`` for every deterministic
+router, and a mixture of two such functions for the Section 6 randomized
+scheme — so the per-packet routing work is memoizable. This module
+provides that memo as a *flat shared arena*: each distinct path is built
+once, and a packet record is an ``(offset, length)`` view into it.
 
 Who uses it: the interpreter loops of every engine (``backend="python"``
 and the rushed and PS engines) look up one packet at a time here, and
@@ -27,30 +25,29 @@ dict once per pair.
   ``int32`` snapshot (:meth:`PathArena.as_array`) and
   :meth:`PathArena.gather` are the export for NumPy-side consumers.
 * :class:`PathCache` — a ``(src, dst) -> (offset, length)`` memo over an
-  arena for deterministic routers. Lookups are one dict probe; misses
-  build the path once via the router (or a custom ``builder``) and append
-  it to the arena. For networks up to :data:`DENSE_NODE_LIMIT` nodes a
-  dense ``offset``/``length`` pair of arrays is kept alongside the dict
-  so batch lookups are a single NumPy gather; larger networks probe the
+  arena for deterministic routers. Lookups are one dict probe; a miss
+  builds the path once with the router's own ``path`` and appends it to
+  the arena. The router is the one route source: every shipped
+  deterministic router builds ``path`` in closed form from per-leg
+  edge-id arithmetic (the mesh, torus and hypercube routers share it
+  with their ``route_batch``), and the cache adds only the memo. For
+  networks up to :data:`DENSE_NODE_LIMIT` nodes a dense
+  ``offset``/``length`` pair of arrays is kept alongside the dict so
+  batch lookups are a single NumPy gather; larger networks probe the
   dict once per pair.
-* :class:`RandomizedGreedyPathCache` — the per-scheme cached-leg variant
-  for :class:`~repro.routing.randomized_greedy.RandomizedGreedyArrayRouter`:
-  two tables (row-first / column-first) share one arena, and each table's
-  paths are *composed from memoized row/column legs* (via
-  :class:`MeshLegCache`) instead of re-walking the direction grids for
-  both orders. The per-packet coin is the same single ``rng.random()``
-  draw the uncached router makes, so same-seed runs are bit-identical.
-* Specialised miss-path builders for every shipped deterministic
-  topology: the torus and k-d arrays compose paths from memoized
-  single-axis legs (:class:`TorusLegCache`, :class:`KDLegCache`), and
-  the hypercube and butterfly use closed-form edge-id arithmetic — so a
-  cache miss never falls back to the generic hop-by-hop ``router.path``
-  walk on those networks.
+* :class:`RandomizedGreedyPathCache` — the variant for
+  :class:`~repro.routing.randomized_greedy.RandomizedGreedyArrayRouter`:
+  two tables (row-first / column-first, built from the scheme's two
+  greedy routers) share one arena. The per-packet coin is the same
+  single ``rng.random()`` draw the uncached router makes, so same-seed
+  runs are bit-identical.
 * :class:`SampledPathInterner` — the no-memo fallback for routers the
-  cache layer does not recognise (and the ``use_path_cache=False``
-  baseline): it rebuilds the sampled path per packet, exactly like the
-  pre-cache engines, but still interns the result into an arena so the
-  engines can keep uniform ``(offset, length)`` packet records.
+  cache layer does not recognise. It rebuilds the sampled path per
+  packet, exactly like the pre-cache engines, but still interns the
+  result into an arena so the engines can keep uniform
+  ``(offset, length)`` packet records. Passing one to an engine as
+  ``path_cache=SampledPathInterner(router)`` gives the per-packet
+  rebuild baseline for any router.
 
 Engines never call ``Router.sample_path`` directly any more; they go
 through :func:`path_cache_for`, which picks the right flavour. Caches only
@@ -68,16 +65,12 @@ coin the uncached scheme drew. The golden-result tests
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.routing.base import Router, is_deterministic
-from repro.routing.butterfly_routing import ButterflyRouter
-from repro.routing.greedy import GreedyKDRouter
-from repro.routing.hypercube_greedy import GreedyHypercubeRouter
 from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
-from repro.routing.torus_greedy import GreedyTorusRouter
 
 #: Below this many nodes a cache also maintains dense ``n*n`` offset and
 #: length arrays (1 MiB at the limit), enabling single-gather batch
@@ -181,16 +174,12 @@ class PathCache:
     ----------
     router:
         A deterministic router (``sample_path`` must not consume RNG).
+        Misses are built with ``router.path``.
     arena:
         Shared :class:`PathArena`; a private one is created if omitted.
-    builder:
-        Optional replacement for ``router.path`` used to build a missing
-        path (the cached-leg composers use this). Must return the exact
-        same edge sequence ``router.path`` would.
-    precompute:
-        Eagerly build all ``n * n`` pairs up front. Default is lazy
-        memoization; precomputing is only worthwhile when a long run will
-        touch most pairs anyway and first-hit jitter matters.
+
+    Memoization is lazy; :meth:`precompute_all` builds every pair up
+    front when a long run will touch most of them anyway.
     """
 
     #: Engines check this to decide whether lookups need the packet RNG.
@@ -201,14 +190,11 @@ class PathCache:
         router: Router,
         *,
         arena: PathArena | None = None,
-        builder: Callable[[int, int], Sequence[int]] | None = None,
-        precompute: bool = False,
     ) -> None:
         self.router = router
         self.topology = router.topology
         self.num_nodes = int(self.topology.num_nodes)
         self.arena = arena if arena is not None else PathArena()
-        self._build_path = builder if builder is not None else router.path
         self.table: dict[int, tuple[int, int]] = {}
         n = self.num_nodes
         if n <= DENSE_NODE_LIMIT:
@@ -216,13 +202,11 @@ class PathCache:
             self._dense_len: np.ndarray | None = np.zeros(n * n, dtype=np.int64)
         else:
             self._dense_off = self._dense_len = None
-        if precompute:
-            self.precompute_all()
 
     # -- scalar lookups (the event-engine hot path) --------------------
     def ensure(self, src: int, dst: int) -> tuple[int, int]:
-        """Miss handler: build, append to the arena, memoize."""
-        path = self._build_path(src, dst)
+        """Miss handler: build with ``router.path``, append, memoize."""
+        path = self.router.path(src, dst)
         off = self.arena.add(path)
         ol = (off, len(path))
         key = src * self.num_nodes + dst
@@ -350,97 +334,25 @@ class PathCache:
         return len(self.table)
 
 
-class MeshLegCache:
-    """Memoized row/column legs of greedy mesh walks.
-
-    A greedy mesh path is one row leg plus one column leg; the randomized
-    scheme needs *both* orders per pair, but the legs themselves are
-    shared (``n^3`` legs cover all ``2 n^4`` order/pair combinations). The
-    cache memoizes each leg once, built via the greedy router's own
-    per-direction grids.
-    """
-
-    def __init__(self, greedy_router) -> None:
-        self._router = greedy_router
-        self._rows: dict[tuple[int, int, int], list[int]] = {}
-        self._cols: dict[tuple[int, int, int], list[int]] = {}
-
-    def row_leg(self, i: int, j1: int, j2: int) -> list[int]:
-        """Edges along row ``i`` from column ``j1`` to ``j2`` (memoized)."""
-        key = (i, j1, j2)
-        leg = self._rows.get(key)
-        if leg is None:
-            leg = self._rows[key] = self._router._row_leg(i, j1, j2)
-        return leg
-
-    def col_leg(self, i1: int, i2: int, j: int) -> list[int]:
-        """Edges along column ``j`` from row ``i1`` to ``i2`` (memoized)."""
-        key = (i1, i2, j)
-        leg = self._cols.get(key)
-        if leg is None:
-            leg = self._cols[key] = self._router._col_leg(i1, i2, j)
-        return leg
-
-
-def _mesh_builders(legs: MeshLegCache, coords):
-    """Leg-composed builders for the two greedy mesh orders.
-
-    The randomized scheme needs both orders per pair; one shared leg memo
-    makes each table's miss two dict probes plus a list concatenation
-    (instead of a second hop-by-hop grid walk), and warm legs build a
-    path ~3x faster than ``GreedyArrayRouter.path``.
-    """
-
-    def build_row_first(src: int, dst: int) -> list[int]:
-        i1, j1 = coords(src)
-        i2, j2 = coords(dst)
-        first = legs.row_leg(i1, j1, j2) if j1 != j2 else []
-        second = legs.col_leg(i1, i2, j2) if i1 != i2 else []
-        return first + second
-
-    def build_col_first(src: int, dst: int) -> list[int]:
-        i1, j1 = coords(src)
-        i2, j2 = coords(dst)
-        first = legs.col_leg(i1, i2, j1) if i1 != i2 else []
-        second = legs.row_leg(i2, j1, j2) if j1 != j2 else []
-        return first + second
-
-    return build_row_first, build_col_first
-
-
 class RandomizedGreedyPathCache:
-    """Cached-leg path cache for the Section 6 randomized greedy scheme.
+    """Path cache for the Section 6 randomized greedy scheme.
 
-    Holds two :class:`PathCache` tables — row-first and column-first — on
-    one shared arena. Each table composes its paths from the same
-    :class:`MeshLegCache` instead of re-walking the direction grids for
-    both orders. ``sample_offlen`` draws exactly the one coin
+    Holds two :class:`PathCache` tables on one shared arena, built from
+    the scheme's row-first and column-first greedy routers.
+    ``sample_offlen`` draws exactly the one coin
     ``RandomizedGreedyArrayRouter.sample_path`` draws, keeping same-seed
     runs bit-identical to the uncached scheme.
     """
 
     consumes_rng = True
 
-    def __init__(
-        self,
-        router: RandomizedGreedyArrayRouter,
-        *,
-        arena: PathArena | None = None,
-    ) -> None:
+    def __init__(self, router: RandomizedGreedyArrayRouter) -> None:
         self.router = router
         self.topology = router.topology
-        self.arena = arena if arena is not None else PathArena()
+        self.arena = PathArena()
         self.row_first_probability = router.row_first_probability
-        self.legs = MeshLegCache(router._row_first)
-        build_row_first, build_col_first = _mesh_builders(
-            self.legs, router.mesh.node_coords
-        )
-        self.row_first = PathCache(
-            router._row_first, arena=self.arena, builder=build_row_first
-        )
-        self.col_first = PathCache(
-            router._col_first, arena=self.arena, builder=build_col_first
-        )
+        self.row_first = PathCache(router._row_first, arena=self.arena)
+        self.col_first = PathCache(router._col_first, arena=self.arena)
 
     def sample_offlen(
         self, src: int, dst: int, rng: np.random.Generator
@@ -487,214 +399,12 @@ class RandomizedGreedyPathCache:
         return self.row_first.path(src, dst)
 
 
-class TorusLegCache:
-    """Memoized wraparound row/column legs of greedy torus walks.
-
-    Same idea as :class:`MeshLegCache`: a greedy torus path is one
-    horizontal leg plus one vertical leg, and ``n^3`` legs cover all
-    pairs of either dimension order, so the legs are the right memo
-    granularity. Legs are built once via the torus router's own
-    ``_leg`` walk (shorter-way-around with the deterministic tie rule).
-    """
-
-    def __init__(self, torus_router: GreedyTorusRouter) -> None:
-        self._router = torus_router
-        self._rows: dict[tuple[int, int, int], list[int]] = {}
-        self._cols: dict[tuple[int, int, int], list[int]] = {}
-
-    def row_leg(self, i: int, j1: int, j2: int) -> list[int]:
-        """Edges along row ``i`` from column ``j1`` to ``j2`` (memoized)."""
-        key = (i, j1, j2)
-        leg = self._rows.get(key)
-        if leg is None:
-            leg, _, _ = self._router._leg(i, j1, j2, horizontal=True)
-            self._rows[key] = leg
-        return leg
-
-    def col_leg(self, i1: int, i2: int, j: int) -> list[int]:
-        """Edges along column ``j`` from row ``i1`` to ``i2`` (memoized)."""
-        key = (i1, i2, j)
-        leg = self._cols.get(key)
-        if leg is None:
-            leg, _, _ = self._router._leg(i1, j, i2, horizontal=False)
-            self._cols[key] = leg
-        return leg
-
-
-def _torus_builder(router: GreedyTorusRouter):
-    """Leg-composed builder reproducing ``GreedyTorusRouter.path`` exactly."""
-    legs = TorusLegCache(router)
-    coords = router.torus.node_coords
-    column_first = router.column_first
-    row_leg, col_leg = legs.row_leg, legs.col_leg
-
-    def build_torus_path(src: int, dst: int) -> list[int]:
-        if src == dst:
-            return []
-        i1, j1 = coords(src)
-        i2, j2 = coords(dst)
-        if column_first:
-            first = col_leg(i1, i2, j1) if i1 != i2 else []
-            second = row_leg(i2, j1, j2) if j1 != j2 else []
-        else:
-            first = row_leg(i1, j1, j2) if j1 != j2 else []
-            second = col_leg(i1, i2, j2) if i1 != i2 else []
-        return first + second
-
-    return build_torus_path
-
-
-def _hypercube_builder(router: GreedyHypercubeRouter):
-    """Closed-form builder for the canonical-order hypercube walk.
-
-    Dimension ``k``'s edge block starts at ``k * 2^d`` and the edge out
-    of node ``v`` sits at offset ``v``, so the whole path is integer
-    arithmetic — no per-hop method calls or range checks (the cache only
-    ever asks for valid node ids).
-    """
-    n = int(router.cube.num_nodes)
-
-    def build_hypercube_path(src: int, dst: int) -> list[int]:
-        at = int(src)
-        diff = at ^ int(dst)
-        out: list[int] = []
-        base = 0
-        bit = 1
-        while diff:
-            if diff & 1:
-                out.append(base + at)
-                at ^= bit
-            diff >>= 1
-            base += n
-            bit <<= 1
-        return out
-
-    return build_hypercube_path
-
-
-def _butterfly_builder(router: ButterflyRouter):
-    """Level-composed builder for the unique butterfly path.
-
-    Per level the two candidate edges are ``base + row`` (straight) and
-    ``base + rows + row`` (cross) with ``base = level * 2 * rows``; the
-    builder walks the row bits directly. Invalid (non input-to-output)
-    pairs still raise ``ValueError`` via ``node_coords``-style checks,
-    matching the router's contract.
-    """
-    b = router.butterfly
-    rows = b.rows
-    d = b.d
-    node_coords = b.node_coords
-
-    def build_butterfly_path(src: int, dst: int) -> list[int]:
-        level_s, row = node_coords(src)
-        level_d, row_d = node_coords(dst)
-        if level_s != 0:
-            raise ValueError(
-                f"butterfly sources must be level-0 nodes, got level {level_s}"
-            )
-        if level_d != d:
-            raise ValueError(
-                f"butterfly destinations must be level-{d} nodes, got level {level_d}"
-            )
-        out: list[int] = []
-        need = row ^ row_d
-        base = 0
-        bit = 1
-        for _level in range(d):
-            if need & bit:
-                out.append(base + rows + row)
-                row ^= bit
-            else:
-                out.append(base + row)
-            base += 2 * rows
-            bit <<= 1
-        return out
-
-    return build_butterfly_path
-
-
-class KDLegCache:
-    """Memoized single-axis legs of dimension-order walks on a k-d array.
-
-    A leg is the edge run correcting one axis from one node; it is keyed
-    by ``(start node, axis, target coordinate)`` and shared by every
-    ``(src, dst)`` pair whose walk passes through that node with that
-    correction — the k-d analogue of the mesh/torus row-column legs.
-    """
-
-    def __init__(self, array) -> None:
-        self._array = array
-        self._legs: dict[tuple[int, int, int], tuple[list[int], int]] = {}
-
-    def leg(self, at: int, axis: int, cur: int, target: int) -> tuple[list[int], int]:
-        """Edges correcting ``axis`` from ``cur`` to ``target`` starting at
-        node ``at``; returns ``(edges, end_node)`` (memoized)."""
-        key = (at, axis, target)
-        hit = self._legs.get(key)
-        if hit is not None:
-            return hit
-        array = self._array
-        step = array.strides[axis]
-        edges: list[int] = []
-        node = at
-        while cur < target:
-            nxt = node + step
-            edges.append(array.edge_id(node, nxt))
-            node = nxt
-            cur += 1
-        while cur > target:
-            nxt = node - step
-            edges.append(array.edge_id(node, nxt))
-            node = nxt
-            cur -= 1
-        self._legs[key] = (edges, node)
-        return edges, node
-
-
-def _kd_builder(router: GreedyKDRouter):
-    """Leg-composed builder reproducing ``GreedyKDRouter.path`` exactly."""
-    legs = KDLegCache(router.array)
-    node_coords = router.array.node_coords
-    order = router.dimension_order
-    leg = legs.leg
-
-    def build_kd_path(src: int, dst: int) -> list[int]:
-        if src == dst:
-            return []
-        coord = node_coords(src)
-        target = node_coords(dst)
-        at = src
-        out: list[int] = []
-        for axis in order:
-            c, g = coord[axis], target[axis]
-            if c != g:
-                edges, at = leg(at, axis, c, g)
-                out.extend(edges)
-        return out
-
-    return build_kd_path
-
-
-def _deterministic_builder(router: Router):
-    """The specialised (leg-composed / closed-form) builder for ``router``,
-    or ``None`` when only the generic ``router.path`` is available."""
-    if isinstance(router, GreedyTorusRouter):
-        return _torus_builder(router)
-    if isinstance(router, GreedyHypercubeRouter):
-        return _hypercube_builder(router)
-    if isinstance(router, ButterflyRouter):
-        return _butterfly_builder(router)
-    if isinstance(router, GreedyKDRouter):
-        return _kd_builder(router)
-    return None
-
-
 class SampledPathInterner:
     """Uncached adapter: per-packet rebuild, arena-interned records.
 
     Used for routers :func:`path_cache_for` does not recognise, and as the
-    engines' ``use_path_cache=False`` baseline. Every lookup calls
+    per-packet rebuild baseline (pass ``path_cache=SampledPathInterner(
+    router)`` to an engine). Every lookup calls
     ``router.sample_path`` — identical RNG consumption and per-packet cost
     to the pre-cache engines — then interns the resulting edge tuple so
     packet records stay ``(offset, length)``. Interning bounds arena
@@ -703,10 +413,10 @@ class SampledPathInterner:
 
     consumes_rng = True
 
-    def __init__(self, router: Router, *, arena: PathArena | None = None) -> None:
+    def __init__(self, router: Router) -> None:
         self.router = router
         self.topology = router.topology
-        self.arena = arena if arena is not None else PathArena()
+        self.arena = PathArena()
         self._seen: dict[tuple[int, ...], tuple[int, int]] = {}
 
     def sample_offlen(
@@ -730,37 +440,24 @@ class SampledPathInterner:
         return offs, lens
 
 
-def path_cache_for(
-    router: Router,
-    *,
-    arena: PathArena | None = None,
-    precompute: bool = False,
-):
+def path_cache_for(router: Router):
     """Build the right cache flavour for ``router``.
 
     Deterministic routers (any :class:`BaseRouter` subclass that does not
-    override ``sample_path``) get a :class:`PathCache` — with a
-    specialised miss-path builder where one exists (leg-composed for the
-    torus and k-d arrays, closed-form for the hypercube and butterfly;
-    the mesh routers' per-direction grid walk is already leg-shaped).
-    The randomized greedy scheme gets its cached-leg
+    override ``sample_path``) get a :class:`PathCache` over their own
+    ``path``. The randomized greedy scheme gets its two-table
     :class:`RandomizedGreedyPathCache`; anything else falls back to the
     :class:`SampledPathInterner`, which preserves pre-cache behaviour
     exactly.
     """
     if isinstance(router, RandomizedGreedyArrayRouter):
-        return RandomizedGreedyPathCache(router, arena=arena)
+        return RandomizedGreedyPathCache(router)
     if is_deterministic(router):
-        return PathCache(
-            router,
-            arena=arena,
-            builder=_deterministic_builder(router),
-            precompute=precompute,
-        )
-    return SampledPathInterner(router, arena=arena)
+        return PathCache(router)
+    return SampledPathInterner(router)
 
 
-def resolve_path_cache(router: Router, *, path_cache=None, use_path_cache=True):
+def resolve_path_cache(router: Router, *, path_cache=None):
     """Resolve an engine's path cache — the one constructor policy all four
     simulators share.
 
@@ -768,8 +465,7 @@ def resolve_path_cache(router: Router, *, path_cache=None, use_path_cache=True):
     very ``router`` *instance*: an equal-sized topology is not enough,
     since a cache built for a different scheme (say the column-first
     mesh order) would silently simulate the wrong routing. Otherwise
-    build the right flavour via :func:`path_cache_for`, or the
-    per-packet :class:`SampledPathInterner` when caching is disabled.
+    build the right flavour via :func:`path_cache_for`.
     """
     if path_cache is not None:
         if path_cache.router is not router:
@@ -778,6 +474,4 @@ def resolve_path_cache(router: Router, *, path_cache=None, use_path_cache=True):
                 "share the router object along with its cache"
             )
         return path_cache
-    if use_path_cache:
-        return path_cache_for(router)
-    return SampledPathInterner(router)
+    return path_cache_for(router)

@@ -7,11 +7,12 @@ that the torus contains directed rings, hence cannot be layered and the
 Theorem 1 upper bound does not apply — but the lower-bound machinery
 (Theorems 10/14) still does, and simulation works fine.
 
-:meth:`GreedyTorusRouter.route_batch` gives the same paths in closed form
-for whole batches of pairs (each leg is an arithmetic run of the ring
-coordinate); the traffic solver uses it to calibrate torus load. There is
-no ``edge_levels``: the rings admit no level order, so the vectorized
-kernels keep rejecting torus routes.
+Each leg is an arithmetic run of the ring coordinate, so
+:meth:`GreedyTorusRouter.path` (one pair, memoized by the path cache) and
+:meth:`GreedyTorusRouter.route_batch` (whole batches; the traffic solver
+uses it to calibrate torus load) build their paths in closed form from
+the same leg table. There is no ``edge_levels``: the rings admit no level
+order, so the vectorized kernels keep rejecting torus routes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from repro.routing.base import BaseRouter
 from repro.routing.greedy import _arithmetic_runs
-from repro.topology.array_mesh import DOWN, LEFT, RIGHT, UP
 from repro.topology.torus import Torus
 
 
@@ -45,38 +45,37 @@ class GreedyTorusRouter(BaseRouter):
         self.torus = torus
         self.column_first = column_first
 
-    def _leg(self, i: int, j: int, target: int, *, horizontal: bool) -> tuple[list[int], int, int]:
-        """Walk one dimension to ``target``; returns (edges, new_i, new_j)."""
-        t = self.torus
-        size = t.cols if horizontal else t.rows
-        cur = j if horizontal else i
-        step = ring_step(cur, target, size)
-        edges: list[int] = []
-        while cur != target:
-            if horizontal:
-                direction = RIGHT if step == 1 else LEFT
-                edges.append(t.directed_edge_id(i, cur, direction))
-            else:
-                direction = DOWN if step == 1 else UP
-                edges.append(t.directed_edge_id(cur, j, direction))
-            cur = (cur + step) % size
-        if horizontal:
-            return edges, i, cur
-        return edges, cur, j
-
     def path(self, src: int, dst: int) -> tuple[int, ...]:
-        """Greedy wraparound path; empty when ``src == dst``."""
+        """Greedy wraparound path; empty when ``src == dst``.
+
+        Each leg is the arithmetic run of the ring coordinate that
+        :meth:`route_batch` emits, reduced mod the ring size, scaled by
+        its stride and added to the base of its direction block.
+        """
         if src == dst:
             return ()
-        i1, j1 = self.torus.node_coords(src)
-        i2, j2 = self.torus.node_coords(dst)
+        t = self.torus
+        rows, cols, n = t.rows, t.cols, t.num_nodes
+        i1, j1 = t.node_coords(src)
+        i2, j2 = t.node_coords(dst)
+        # The row leg runs on row ``r``, the column leg on column ``c``.
+        r, c = (i2, j1) if self.column_first else (i1, j2)
+        right, down = ring_step(j1, j2, cols), ring_step(i1, i2, rows)
+        # Per leg: (start, step, count, ring size, stride, block base).
+        legs = [
+            (j1, right, (j2 - j1) * right % cols, cols, 1,
+             (0 if right == 1 else n) + r * cols),
+            (i1, down, (i2 - i1) * down % rows, rows, cols,
+             (2 * n if down == 1 else 3 * n) + c),
+        ]
         if self.column_first:
-            first, i1, j1 = self._leg(i1, j1, i2, horizontal=False)
-            second, _, _ = self._leg(i1, j1, j2, horizontal=True)
-        else:
-            first, i1, j1 = self._leg(i1, j1, j2, horizontal=True)
-            second, _, _ = self._leg(i1, j1, i2, horizontal=False)
-        return tuple(first + second)
+            legs.reverse()
+        ids = self._edge_ids
+        return tuple([
+            ids[base + (start + k * step) % size * stride]
+            for start, step, count, size, stride, base in legs
+            for k in range(count)
+        ])
 
     def route_batch(
         self, srcs: np.ndarray, dsts: np.ndarray

@@ -171,21 +171,21 @@ store (a Python list the interpreter loops index directly, with an
 edge tuple — and "which edge next" is ``arena[offset + hop]``, one list
 index. Deterministic routers resolve a packet's path with a single dict
 probe; the Section 6 randomized scheme keeps two tables (row-first /
-column-first) on one arena, composed from a shared memoized leg store,
-and draws exactly the one coin the uncached scheme drew. Caches only
-grow and never influence outputs, so the replication engine shares one
-``(network, cache)`` per cell across all of the cell's seeded
-replications (per worker process) instead of rebuilding per task — and
-pool workers adopt the parent's precomputed cache straight out of
-shared memory (:mod:`repro.sim.sharedcells`) when the network is small
-enough to publish in full.
+column-first) on one arena and draws exactly the one coin the uncached
+scheme drew. Caches only grow and never influence outputs, so the
+replication engine shares one ``(network, cache)`` per cell across all
+of the cell's seeded replications (per worker process) instead of
+rebuilding per task — and pool workers adopt the parent's precomputed
+cache straight out of shared memory (:mod:`repro.sim.sharedcells`) when
+the network is small enough to publish in full.
 
 All four simulators' interpreter loops resolve paths through one cache
-built by ``path_cache_for`` — which now has a specialised miss-path
-builder for every shipped deterministic topology (leg-composed for mesh,
-torus and k-d arrays; closed-form for hypercube and butterfly) — so no
-engine and no topology falls back to per-packet path building unless
-explicitly asked to (``use_path_cache=False``).
+built by ``path_cache_for``. A miss is built by the router's own
+``path``, which every shipped deterministic router writes in closed form
+(per-leg edge-id arithmetic, the same the mesh, torus and hypercube
+``route_batch`` use), so the router is the one route source. An engine
+rebuilds paths per packet only when handed
+``path_cache=SampledPathInterner(router)``.
 
 **Monotone merge where service is uniform deterministic; a binary heap
 where it is not.** With one deterministic service time everywhere

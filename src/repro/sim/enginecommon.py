@@ -67,8 +67,11 @@ class EngineCommon:
         Which source ordering the engine's fast-id block draw requires:
         :data:`SORTED_IDS` (event-driven engines), :data:`IDENTITY_IDS`
         (the slotted engine) or :data:`NO_FAST_IDS` (PS).
-    path_cache, use_path_cache:
-        Passed to :func:`~repro.routing.pathcache.resolve_path_cache`.
+    path_cache:
+        Passed to :func:`~repro.routing.pathcache.resolve_path_cache`:
+        ``None`` builds the router's cache flavour, and a
+        :class:`~repro.routing.pathcache.SampledPathInterner` for the
+        router rebuilds every packet's path.
 
     Attributes
     ----------
@@ -101,7 +104,6 @@ class EngineCommon:
         source_nodes: Sequence[int] | None = None,
         fast_id_order: str = SORTED_IDS,
         path_cache=None,
-        use_path_cache: bool = True,
     ) -> None:
         if fast_id_order not in (SORTED_IDS, IDENTITY_IDS, NO_FAST_IDS):
             raise ValueError(
@@ -139,9 +141,7 @@ class EngineCommon:
         else:
             order_ok = False
         self.fast_ids = self.uniform_sources and self.uniform_dests and order_ok
-        self.path_cache = resolve_path_cache(
-            router, path_cache=path_cache, use_path_cache=use_path_cache
-        )
+        self.path_cache = resolve_path_cache(router, path_cache=path_cache)
 
     def install(self, sim) -> None:
         """Install the shared attribute surface on an engine instance.

@@ -98,16 +98,15 @@ class NetworkSimulation:
         R_s(t) — remaining saturated services — for Table III.
     seed:
         Seed for the run's private :class:`numpy.random.Generator`.
-    use_path_cache:
-        Disable to fall back to per-packet path rebuilding (the pre-cache
-        behaviour; outputs are bit-identical either way — this exists for
-        benchmarking the cache).
     path_cache:
         An externally built cache (see
         :func:`repro.routing.pathcache.path_cache_for`) to share across
         runs — e.g. one cache for all replications of a cell. Must have
         been built for this very ``router`` instance (an equal-sized
         topology under a different scheme would silently route wrong).
+        ``SampledPathInterner(router)`` rebuilds every packet's path
+        instead (the pre-cache behaviour; outputs are bit-identical
+        either way — this exists for benchmarking the cache).
     backend:
         Kernel backend for the hot loop (see :mod:`repro.sim.kernels`):
         ``"python"`` (the default) runs the extracted reference loops
@@ -128,7 +127,6 @@ class NetworkSimulation:
         source_nodes: Sequence[int] | None = None,
         saturated_mask: Sequence[bool] | None = None,
         seed: int = 0,
-        use_path_cache: bool = True,
         path_cache=None,
         backend: str = PYTHON_BACKEND,
     ) -> None:
@@ -169,7 +167,6 @@ class NetworkSimulation:
             source_nodes=source_nodes,
             fast_id_order=SORTED_IDS,
             path_cache=path_cache,
-            use_path_cache=use_path_cache,
         ).install(self)
 
         self._sat = resolve_saturated_mask(saturated_mask, num_edges)

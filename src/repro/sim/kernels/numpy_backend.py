@@ -37,8 +37,8 @@ Routes and levels come from one of two places:
   levels order the sweep. No path cache is touched.
 * **cache fallback** — every other router (the randomized greedy
   scheme, other RNG-drawing routers, which the ``SampledPathInterner``
-  serves, deterministic routers without a closed form such as the k-d
-  array and butterfly, and the torus, whose ``route_batch`` has no
+  serves, deterministic routers without a ``route_batch`` such as the
+  k-d array and butterfly, and the torus, whose ``route_batch`` has no
   static levels to go with it): one batch lookup through the path
   cache, the arena's ``int32`` snapshot (``PathArena.gather``) as the
   visit array, and levels from a per-run precedence fixpoint. Torus

@@ -60,8 +60,8 @@ class PSNetworkSimulation:
     """Event-driven processor-sharing network simulation.
 
     Parameters mirror :class:`repro.sim.NetworkSimulation` (service is
-    always unit-work PS; ``use_path_cache`` / ``path_cache`` control the
-    shared path-cache arena exactly as there).
+    always unit-work PS; ``path_cache`` controls the shared path-cache
+    arena exactly as there).
     """
 
     def __init__(
@@ -73,7 +73,6 @@ class PSNetworkSimulation:
         service_rates: float | Sequence[float] = 1.0,
         source_nodes: Sequence[int] | None = None,
         seed: int = 0,
-        use_path_cache: bool = True,
         path_cache=None,
     ) -> None:
         self.seed = int(seed)
@@ -89,7 +88,6 @@ class PSNetworkSimulation:
             source_nodes=source_nodes,
             fast_id_order=NO_FAST_IDS,
             path_cache=path_cache,
-            use_path_cache=use_path_cache,
         ).install(self)
 
     def run(

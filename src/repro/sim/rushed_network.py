@@ -58,9 +58,9 @@ class RushedNetworkSimulation:
     """Simulate Q1: immediate copies at every queue on the route.
 
     Parameters mirror :class:`repro.sim.NetworkSimulation` (FIFO servers,
-    deterministic service ``1/phi_e``; ``use_path_cache`` / ``path_cache``
-    / ``saturated_mask`` control the hot path and the optional R_s(t)
-    tracking exactly as there).
+    deterministic service ``1/phi_e``; ``path_cache`` / ``saturated_mask``
+    control the hot path and the optional R_s(t) tracking exactly as
+    there).
 
     Notes
     -----
@@ -87,7 +87,6 @@ class RushedNetworkSimulation:
         source_nodes: Sequence[int] | None = None,
         saturated_mask: Sequence[bool] | None = None,
         seed: int = 0,
-        use_path_cache: bool = True,
         path_cache=None,
     ) -> None:
         self.seed = int(seed)
@@ -113,7 +112,6 @@ class RushedNetworkSimulation:
             source_nodes=source_nodes,
             fast_id_order=SORTED_IDS,
             path_cache=path_cache,
-            use_path_cache=use_path_cache,
         ).install(self)
 
     def run(

@@ -65,9 +65,8 @@ class SlottedNetworkSimulation:
     Parameters mirror :class:`repro.sim.NetworkSimulation`; the slot
     duration ``tau`` scales the batch mean (``total_rate * tau`` packets
     per slot) and the reported times (delays are in the same units as the
-    continuous model: slot index times ``tau``). ``use_path_cache`` /
-    ``path_cache`` control the shared path-cache arena exactly as in the
-    event engine.
+    continuous model: slot index times ``tau``). ``path_cache`` controls
+    the shared path-cache arena exactly as in the event engine.
     """
 
     def __init__(
@@ -80,7 +79,6 @@ class SlottedNetworkSimulation:
         source_nodes: Sequence[int] | None = None,
         saturated_mask: Sequence[bool] | None = None,
         seed: int = 0,
-        use_path_cache: bool = True,
         path_cache=None,
         backend: str = PYTHON_BACKEND,
     ) -> None:
@@ -104,7 +102,6 @@ class SlottedNetworkSimulation:
             source_nodes=source_nodes,
             fast_id_order=IDENTITY_IDS,
             path_cache=path_cache,
-            use_path_cache=use_path_cache,
         ).install(self)
         self._sat = resolve_saturated_mask(
             saturated_mask, self.topology.num_edges

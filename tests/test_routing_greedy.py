@@ -1,16 +1,21 @@
 """Unit and property tests for greedy array routing, including the
-closed-form batch routes (mesh, torus and hypercube) and static edge
-levels of the vectorized kernels (mesh and hypercube)."""
+closed-form scalar paths of every deterministic router (pinned against
+hop-by-hop reference walks), the closed-form batch routes (mesh, torus
+and hypercube) and static edge levels of the vectorized kernels (mesh
+and hypercube)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import butterfly_walk, hypercube_walk, kd_walk, mesh_walk, torus_walk
+from repro.routing.butterfly_routing import ButterflyRouter
 from repro.routing.greedy import GreedyArrayRouter, GreedyKDRouter
 from repro.routing.hypercube_greedy import GreedyHypercubeRouter
 from repro.routing.torus_greedy import GreedyTorusRouter
 from repro.topology.array_mesh import ArrayMesh, KDArray
+from repro.topology.butterfly import Butterfly
 from repro.topology.hypercube import Hypercube
 from repro.topology.torus import Torus
 
@@ -244,3 +249,98 @@ class TestClosedFormRoutes:
                 "up": cols - 1 + rows - 2 - (i - 1),  # UP lands on row i - 1
             }[direction]
             assert levels[e] == expected, (e, direction, i, j)
+
+
+# ----------------------------------------------------------------------
+# Closed-form scalar paths against the hop-by-hop reference walks.
+
+
+def _assert_path_matches_walk(router, walk, pairs):
+    for s, d in pairs:
+        assert router.path(s, d) == walk(s, d), (s, d)
+
+
+def _every_pair(n):
+    return [(s, d) for s in range(n) for d in range(n)]
+
+
+class TestClosedFormPathMatchesWalk:
+    @pytest.mark.parametrize(
+        "rows, cols", [(5, 5), (3, 6), (6, 2)], ids=["square", "wide", "tall"]
+    )
+    @pytest.mark.parametrize("column_first", [False, True], ids=["row", "col"])
+    def test_mesh(self, rows, cols, column_first):
+        mesh = ArrayMesh(rows, cols)
+        router = GreedyArrayRouter(mesh, column_first=column_first)
+        walk = lambda s, d: mesh_walk(mesh, s, d, column_first=column_first)  # noqa: E731
+        _assert_path_matches_walk(router, walk, _every_pair(mesh.num_nodes))
+
+    @pytest.mark.parametrize(
+        "rows, cols", [(4, 6), (5, 5), (3, 8)], ids=["even", "odd", "mixed"]
+    )
+    @pytest.mark.parametrize("column_first", [False, True], ids=["row", "col"])
+    def test_torus(self, rows, cols, column_first):
+        torus = Torus(rows, cols)
+        router = GreedyTorusRouter(torus, column_first=column_first)
+        walk = lambda s, d: torus_walk(torus, s, d, column_first=column_first)  # noqa: E731
+        _assert_path_matches_walk(router, walk, _every_pair(torus.num_nodes))
+
+    def test_torus_half_way_tie_resolves_forward(self):
+        torus = Torus(4, 6)
+        router = GreedyTorusRouter(torus)
+        # Three columns either way round a 6-ring, two rows round a 4-ring.
+        path = router.path(torus.node_id(0, 1), torus.node_id(2, 4))
+        assert [torus.edge_direction(e) for e in path] == ["right"] * 3 + ["down"] * 2
+
+    @pytest.mark.parametrize(
+        "dims, order",
+        [
+            ((3, 4, 2), None),
+            ((3, 4, 2), (2, 0, 1)),
+            ((2, 3, 2, 3), None),
+            ((2, 3, 2, 3), (3, 1, 0, 2)),
+        ],
+        ids=["3d", "3d-permuted", "4d", "4d-permuted"],
+    )
+    def test_kd(self, dims, order):
+        array = KDArray(dims)
+        router = GreedyKDRouter(array, dimension_order=order)
+        walk = lambda s, d: kd_walk(array, s, d, router.dimension_order)  # noqa: E731
+        _assert_path_matches_walk(router, walk, _every_pair(array.num_nodes))
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_hypercube(self, d):
+        cube = Hypercube(d)
+        router = GreedyHypercubeRouter(cube)
+        walk = lambda s, t: hypercube_walk(cube, s, t)  # noqa: E731
+        _assert_path_matches_walk(router, walk, _every_pair(cube.num_nodes))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_butterfly(self, d):
+        b = Butterfly(d)
+        router = ButterflyRouter(b)
+        pairs = [
+            (b.node_id(0, r1), b.node_id(d, r2))
+            for r1 in range(b.rows)
+            for r2 in range(b.rows)
+        ]
+        walk = lambda s, t: butterfly_walk(b, s, t)  # noqa: E731
+        _assert_path_matches_walk(router, walk, pairs)
+
+
+@pytest.mark.parametrize(
+    "router",
+    [
+        GreedyArrayRouter(ArrayMesh(3, 4)),
+        GreedyTorusRouter(Torus(3, 4)),
+        GreedyKDRouter(KDArray((2, 3, 2))),
+        GreedyHypercubeRouter(Hypercube(3)),
+        ButterflyRouter(Butterfly(2)),
+    ],
+    ids=lambda r: r.topology.name,
+)
+def test_path_rejects_out_of_range_nodes(router):
+    n = router.topology.num_nodes
+    for src, dst in [(n, 0), (0, n), (-1, 0), (0, -1), (n + 5, n)]:
+        with pytest.raises(ValueError):
+            router.path(src, dst)

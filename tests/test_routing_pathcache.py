@@ -9,14 +9,10 @@ from repro.routing.greedy import GreedyArrayRouter, GreedyKDRouter
 from repro.routing.hypercube_greedy import GreedyHypercubeRouter
 from repro.routing.pathcache import (
     DENSE_NODE_LIMIT,
-    KDLegCache,
-    MeshLegCache,
     PathArena,
     PathCache,
     RandomizedGreedyPathCache,
     SampledPathInterner,
-    TorusLegCache,
-    _deterministic_builder,
     path_cache_for,
 )
 from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
@@ -66,15 +62,24 @@ class TestPathArena:
         lambda: GreedyHypercubeRouter(Hypercube(4)),
         lambda: GreedyKDRouter(KDArray((3, 4, 2))),
         lambda: GreedyKDRouter(KDArray((3, 4, 2)), dimension_order=(2, 0, 1)),
+        lambda: RandomizedGreedyArrayRouter(ArrayMesh(3, 5), 0.3),
     ],
 )
 def test_cache_matches_router_on_all_pairs(router_factory):
     router = router_factory()
     cache = path_cache_for(router)
+    pairs = [(cache, router)]
+    if isinstance(router, RandomizedGreedyArrayRouter):
+        # Both order tables, each against the greedy router it builds from.
+        pairs = [
+            (cache.row_first, router._row_first),
+            (cache.col_first, router._col_first),
+        ]
     n = router.topology.num_nodes
-    for s in range(n):
-        for d in range(n):
-            assert cache.path(s, d) == router.path(s, d), (s, d)
+    for table, source in pairs:
+        for s in range(n):
+            for d in range(n):
+                assert table.path(s, d) == source.path(s, d), (s, d)
 
 
 def test_butterfly_cache_matches_router_on_all_valid_pairs():
@@ -89,54 +94,33 @@ def test_butterfly_cache_matches_router_on_all_valid_pairs():
             assert cache.path(src, dst) == router.path(src, dst), (rs, rd)
 
 
-class TestSpecialisedBuilders:
-    """path_cache_for must resolve a real specialised miss-path builder —
-    not the generic router.path walk — for every shipped deterministic
-    topology."""
+def _spread_pairs(n):
+    pairs = [(s, (s * 7 + 3) % n) for s in range(n)]
+    return pairs + [(d, s) for s, d in pairs]
 
-    @pytest.mark.parametrize(
-        "router_factory",
-        [
-            lambda: GreedyTorusRouter(Torus(4)),
-            lambda: GreedyHypercubeRouter(Hypercube(3)),
-            lambda: ButterflyRouter(Butterfly(2)),
-            lambda: GreedyKDRouter(KDArray((3, 3, 3))),
-        ],
-    )
-    def test_specialised_builder_is_wired(self, router_factory):
-        router = router_factory()
-        assert _deterministic_builder(router) is not None
-        cache = path_cache_for(router)
-        assert isinstance(cache, PathCache)
-        assert cache._build_path != router.path  # not the generic walk
 
-    def test_mesh_router_keeps_its_grid_walk(self):
-        """The mesh routers' per-direction grid walk is already leg-shaped;
-        no specialised builder overrides it."""
-        router = GreedyArrayRouter(ArrayMesh(4))
-        assert _deterministic_builder(router) is None
-
-    def test_torus_leg_cache_memoizes(self):
-        router = GreedyTorusRouter(Torus(5))
-        legs = TorusLegCache(router)
-        leg = legs.row_leg(2, 0, 4)  # wraps the short way
-        assert leg == router._leg(2, 0, 4, horizontal=True)[0]
-        assert legs.row_leg(2, 0, 4) is leg  # memoized object
-        col = legs.col_leg(1, 4, 3)
-        assert col == router._leg(1, 3, 4, horizontal=False)[0]
-
-    def test_kd_leg_cache_memoizes_and_tracks_end_node(self):
-        arr = KDArray((3, 4, 2))
-        router = GreedyKDRouter(arr)
-        legs = KDLegCache(arr)
-        src = 0
-        coords = arr.node_coords(src)
-        edges, end = legs.leg(src, 1, coords[1], 3)
-        assert arr.node_coords(end)[1] == 3
-        assert legs.leg(src, 1, coords[1], 3) == (edges, end)  # memo hit
-        # Leg edges agree with the router walking only that axis.
-        dst = end
-        assert tuple(edges) == router.path(src, dst)
+@pytest.mark.parametrize(
+    "router, pairs",
+    [
+        (GreedyArrayRouter(ArrayMesh(12, 14)), _spread_pairs(168)),
+        (GreedyTorusRouter(Torus(11)), _spread_pairs(121)),
+        (GreedyKDRouter(KDArray((5, 4, 6))), _spread_pairs(120)),
+        (GreedyHypercubeRouter(Hypercube(7)), _spread_pairs(128)),
+        (ButterflyRouter(Butterfly(5)),
+         [(r1, 5 * 32 + r2) for r1 in range(32) for r2 in range(32)]),
+    ],
+    ids=["mesh", "torus", "kd", "hypercube", "butterfly"],
+)
+def test_arena_entries_share_one_int_per_edge(router, pairs):
+    """Every arena entry naming an edge is the same int object, so a big
+    arena costs one pointer per entry, not a fresh int (ids here run past
+    the interpreter's small-int cache)."""
+    cache = path_cache_for(router)
+    for s, d in pairs:
+        cache.offlen(s, d)
+    edges = cache.arena.edges
+    assert max(edges) > 256 and len(edges) > len(set(edges))
+    assert len({id(e) for e in edges}) == len(set(edges))
 
 
 class TestPathCache:
@@ -153,7 +137,8 @@ class TestPathCache:
 
     def test_precompute_all(self):
         router = GreedyArrayRouter(ArrayMesh(3))
-        cache = PathCache(router, precompute=True)
+        cache = PathCache(router)
+        cache.precompute_all()
         assert len(cache) == 81
         assert cache.path(2, 7) == router.path(2, 7)
 
@@ -212,17 +197,6 @@ class TestPathCache:
         assert cache.path(src, dst) == router.path(src, dst)
         with pytest.raises(ValueError):
             cache.path(dst, src)  # invalid pairs still raise via the router
-
-
-class TestMeshLegCache:
-    def test_legs_match_router_legs(self):
-        router = GreedyArrayRouter(ArrayMesh(4, 6))
-        legs = MeshLegCache(router)
-        assert legs.row_leg(2, 1, 5) == router._row_leg(2, 1, 5)
-        assert legs.row_leg(2, 5, 1) == router._row_leg(2, 5, 1)
-        assert legs.col_leg(0, 3, 2) == router._col_leg(0, 3, 2)
-        # Memoized: the same list object comes back.
-        assert legs.row_leg(2, 1, 5) is legs.row_leg(2, 1, 5)
 
 
 class TestRandomizedGreedyPathCache:
